@@ -40,9 +40,11 @@ bench:
 
 # bench-smoke runs the experiment harnesses at tiny sizes and fails if
 # any JSON output comes back empty — catches benchmark-harness rot in
-# CI without paying for the full sweeps.
+# CI without paying for the full sweeps. The engine run is pinned to
+# GOMAXPROCS=1 so its cpus check proves E10 records GOMAXPROCS, not the
+# host's CPU count.
 bench-smoke:
-	$(GO) run ./cmd/pvrbench -e engine -prefixes 50 -json BENCH_engine.json
+	GOMAXPROCS=1 $(GO) run ./cmd/pvrbench -e engine -prefixes 50 -json BENCH_engine.json
 	$(GO) run ./cmd/pvrbench -e gossip -nodes 8 -json BENCH_gossip.json
 	$(GO) run ./cmd/pvrbench -e stream -prefixes 400 -json BENCH_stream.json
 	$(GO) run ./cmd/pvrbench -e query -prefixes 64 -json BENCH_query.json
@@ -50,6 +52,7 @@ bench-smoke:
 	$(GO) run ./cmd/pvrbench -e priv -prefixes 6 -json BENCH_priv.json
 	$(GO) run ./cmd/pvrbench -e store -appenders 8 -json BENCH_store.json
 	grep -q '"prefixes"' BENCH_engine.json
+	grep -q '"cpus": 1$$' BENCH_engine.json
 	grep -q '"nodes"' BENCH_gossip.json
 	grep -q '"updates_per_sec"' BENCH_stream.json
 	grep -q '"speedup"' BENCH_stream.json
@@ -84,9 +87,11 @@ apicheck:
 	./scripts/apicheck.sh
 
 # examples vets and builds every example program against the current API.
+# With a single example package, a plain build would leave its binary in
+# the working directory; -o /dev/null discards it.
 examples:
 	$(GO) vet ./examples/...
-	$(GO) build ./examples/...
+	$(GO) build -o /dev/null ./examples/...
 
 clean:
 	rm -f BENCH_engine.json BENCH_gossip.json BENCH_stream.json BENCH_query.json BENCH_trace.json BENCH_priv.json BENCH_store.json

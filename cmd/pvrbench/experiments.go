@@ -459,8 +459,9 @@ type engineRow struct {
 	// benchgate's second regression metric.
 	SealP50Ms float64 `json:"seal_p50_ms"`
 	SealP99Ms float64 `json:"seal_p99_ms"`
-	// CPUs records the machine the row was measured on: speedups on a
-	// 1-CPU host come from batching alone, not parallelism.
+	// CPUs records the GOMAXPROCS the row ran at (the meta envelope's
+	// gomaxprocs): speedups at 1 come from batching alone, not
+	// parallelism.
 	CPUs int `json:"cpus"`
 }
 
@@ -657,14 +658,14 @@ func runEngine(seed int64) error {
 		fmt.Printf("%10d %12s %12s %9.1fx %14d %10d %11d %10s %5d\n",
 			nPfx, serialD.Round(time.Millisecond), engineD.Round(time.Millisecond),
 			speedup, serialSigs, len(seals), allocsPerOp,
-			time.Duration(sealP99*float64(time.Second)).Round(time.Microsecond), runtime.NumCPU())
+			time.Duration(sealP99*float64(time.Second)).Round(time.Microsecond), runtime.GOMAXPROCS(0))
 		rows = append(rows, engineRow{
 			Prefixes: nPfx, Providers: k,
 			SerialMs: float64(serialD) / 1e6, EngineMs: float64(engineD) / 1e6,
 			Speedup: speedup, SerialSigs: serialSigs, Seals: len(seals),
 			AllocsPerOp: allocsPerOp,
 			SealP50Ms:   sealP50 * 1e3, SealP99Ms: sealP99 * 1e3,
-			CPUs: runtime.NumCPU(),
+			CPUs: runtime.GOMAXPROCS(0),
 		})
 	}
 

@@ -16,12 +16,14 @@
 // With -stream N the listener additionally runs N synthetic churn events
 // through the streaming update plane: each -window only the dirty shards
 // re-seal and the changed prefixes re-advertise to every live session.
-// -gossip-listen / -gossip-peers / -gossip-every / -ledger join the audit
-// network; routes from a convicted origin are rejected. With -store DIR
-// the daemon persists its durable state (sealed window sequence,
-// trust-on-first-use key pins, disclosure-nonce marks, and — absent
-// -ledger — the evidence ledger) under DIR and recovers it on restart,
-// resuming the window sequence past everything it ever published.
+// -gossip-listen / -gossip-peers / -gossip-every join the audit network;
+// routes from a convicted origin are rejected. With -store DIR the daemon
+// persists its durable state (sealed window sequence, trust-on-first-use
+// key pins, disclosure-nonce marks, and the evidence ledger, so
+// convictions survive restarts) under DIR and recovers it on restart,
+// resuming the window sequence past everything it ever published. A
+// ledger file from an older -ledger flag, moved to DIR/ledger, is
+// migrated into the store on the next start.
 //
 // With -disclose-listen the daemon additionally serves the α-gated
 // disclosure query plane: remote providers, promisees (declared with
@@ -87,8 +89,7 @@ func main() {
 	gossipListen := flag.String("gossip-listen", "", "serve audit anti-entropy exchanges on this address")
 	gossipPeers := flag.String("gossip-peers", "", "comma-separated audit peers to reconcile with periodically")
 	gossipEvery := flag.Duration("gossip-every", 2*time.Second, "anti-entropy round interval")
-	ledger := flag.String("ledger", "", "persistent evidence ledger file (audit convictions survive restarts)")
-	storeDir := flag.String("store", "", "durable state directory (WAL + snapshots; sealed windows, key pins, and nonce marks survive restarts)")
+	storeDir := flag.String("store", "", "durable state directory (WAL + snapshots; sealed windows, key pins, nonce marks, and audit convictions survive restarts)")
 	discloseListen := flag.String("disclose-listen", "", "serve the α-gated disclosure query plane on this address")
 	promisees := flag.String("promisees", "", "comma-separated ASNs entitled to promisee views under α")
 	debugListen := flag.String("debug-listen", "", "serve /metrics, /trace, and /debug/pprof on this HTTP address")
@@ -130,9 +131,6 @@ func main() {
 	}
 	if peers := splitList(*gossipPeers); len(peers) > 0 {
 		opts = append(opts, pvr.WithGossipPeers(peers...))
-	}
-	if *ledger != "" {
-		opts = append(opts, pvr.WithLedger(*ledger))
 	}
 	if *storeDir != "" {
 		opts = append(opts, pvr.WithStore(*storeDir))

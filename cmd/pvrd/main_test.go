@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestSIGTERMCheckpointsStore(t *testing.T) {
 	}
 
 	storeDir := filepath.Join(dir, "state")
-	var stderr bytes.Buffer
+	var stderr lockedBuffer
 	cmd := exec.Command(bin,
 		"-listen", "127.0.0.1:0",
 		"-asn", "64500",
@@ -86,4 +87,23 @@ func TestSIGTERMCheckpointsStore(t *testing.T) {
 	if got := p.Stats().Window; got != st.RecoveredWindow+1 {
 		t.Fatalf("resumed window = %d, want %d (recovered %d + 1)", got, st.RecoveredWindow+1, st.RecoveredWindow)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to poll while os/exec's copier
+// goroutine writes the child's stderr into it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }

@@ -34,7 +34,14 @@ func testDisclosureQueryPlane(t *testing.T, newTransport func() pvr.Transport, l
 	// disclosure plane, and A's seals verify everywhere.
 	reg := pvr.NewRegistry()
 	pfx := pvr.MustParsePrefix("203.0.113.0/24")
-	ledgerPath := t.TempDir() + "/promisee.ledger"
+	// The promisee keeps a durable store, so its evidence ledger — and
+	// the conviction it records — outlives the process. Its key outlives
+	// it too, the way a daemon reloads its key file.
+	promiseeStore := t.TempDir()
+	promiseeKey, err := pvr.GenerateEd25519()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A: the prover under audit. It originates the prefix, serves the
 	// disclosure query plane, and its α names only 64502 as promisee.
@@ -72,7 +79,7 @@ func testDisclosureQueryPlane(t *testing.T, newTransport func() pvr.Transport, l
 	}
 	provider := open(64501)
 	defer provider.Close()
-	promisee := open(64502, pvr.WithLedger(ledgerPath))
+	promisee := open(64502, pvr.WithSigner(promiseeKey), pvr.WithStore(promiseeStore))
 	defer promisee.Close()
 	third := open(64503)
 	defer third.Close()
@@ -195,26 +202,18 @@ func testDisclosureQueryPlane(t *testing.T, newTransport func() pvr.Transport, l
 		t.Fatalf("query after conviction: %v, want ErrConvicted", err)
 	}
 
-	// The conviction is persistent: reopening the ledger replays the
-	// evidence, and a fresh participant over it starts convicted.
+	// The conviction is persistent: reopening the store replays and
+	// re-verifies the ledger's evidence, so the restarted promisee starts
+	// with the prover convicted.
 	if err := promisee.Close(); err != nil {
 		t.Fatal(err)
 	}
-	led, recs, err := pvr.OpenLedger(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
+	restarted := open(64502, pvr.WithSigner(promiseeKey), pvr.WithStore(promiseeStore))
+	defer restarted.Close()
+	if !restarted.Auditor().Convicted(a.ASN()) {
+		t.Fatalf("conviction of %s did not survive the promisee's restart", a.ASN())
 	}
-	defer led.Close()
-	if len(recs) == 0 {
-		t.Fatal("ledger holds no evidence after the conviction")
-	}
-	found := false
-	for _, rec := range recs {
-		if rec.Conflict != nil && rec.Conflict.Origin == a.ASN() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("ledger evidence does not accuse %s", a.ASN())
+	if _, err := restarted.RequestDisclosure(ctx, addr, pfx, 1); !errors.Is(err, pvr.ErrConvicted) {
+		t.Fatalf("query after restart: %v, want ErrConvicted", err)
 	}
 }

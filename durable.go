@@ -227,16 +227,11 @@ func (d *durableState) maybeSnapshot() {
 	}
 }
 
-// storeOptions maps the participant's StoreConfig onto store.Options,
-// attaching the shared pvr_store_* metric set.
+// storeOptions is the store configuration both logs share: the
+// store's own group-commit and snapshot defaults, reporting into the
+// participant's pvr_store_* metric set.
 func (p *Participant) storeOptions() store.Options {
-	return store.Options{
-		FlushEvery:    p.cfg.storeCfg.FlushEvery,
-		MaxBatch:      p.cfg.storeCfg.MaxBatch,
-		SegmentBytes:  p.cfg.storeCfg.SegmentBytes,
-		SnapshotEvery: p.cfg.storeCfg.SnapshotEvery,
-		Metrics:       p.storeMet,
-	}
+	return store.Options{Metrics: p.storeMet}
 }
 
 // buildStore opens the durable store (when configured), recovers the
@@ -250,6 +245,9 @@ func (p *Participant) buildStore() error {
 			return errConfigf("open", "WithStoreFault requires WithStore or WithStoreBackend")
 		}
 		return nil
+	}
+	if p.cfg.storeDir != "" && p.cfg.storeBackend != nil {
+		return errConfigf("open", "WithStore and WithStoreBackend are exclusive")
 	}
 	b := p.cfg.storeBackend
 	if b == nil {

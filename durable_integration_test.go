@@ -33,12 +33,8 @@ func TestParticipantCrashRestartDurability(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	faultA := pvr.NewStoreFault()
 
-	network := pvr.NewNetwork()
-	provider, err := network.AddNode(64700)
-	if err != nil {
-		t.Fatal(err)
-	}
-	providerKey, err := network.Registry().Lookup(provider.ASN())
+	provider := openProvider(t, 64700)
+	providerKey, err := provider.Registry().Lookup(provider.ASN())
 	if err != nil {
 		t.Fatal(err)
 	}

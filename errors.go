@@ -122,8 +122,7 @@ var (
 	ErrConfig = &Error{Kind: KindConfig}
 	// ErrTransport matches dial/listen/wire failures.
 	ErrTransport = &Error{Kind: KindTransport}
-	// ErrBackpressure matches a full ingest queue; it replaces the
-	// deprecated ErrQueueFull export.
+	// ErrBackpressure matches a full ingest queue (TrySubmit).
 	ErrBackpressure = &Error{Kind: KindBackpressure}
 	// ErrSessionClosed matches operations on an ended BGP session.
 	ErrSessionClosed = &Error{Kind: KindSessionClosed}
@@ -201,8 +200,3 @@ func errKind(kind Kind, op string, err error) error {
 	}
 	return &Error{Kind: kind, Op: op, Err: err}
 }
-
-// Deprecated: match errors.Is(err, ErrBackpressure) instead. ErrQueueFull
-// remains the raw updplane sentinel returned by the aliased UpdatePlane
-// TrySubmit path and will be removed in a future release.
-var ErrQueueFull = updplane.ErrQueueFull

@@ -59,18 +59,6 @@ func TestErrorSentinelsAreDisjoint(t *testing.T) {
 	}
 }
 
-// TestDeprecatedErrQueueFullStillMatches keeps the one-release
-// compatibility promise: code matching the deprecated ErrQueueFull alias
-// still recognizes both raw plane errors and wrapped public ones.
-func TestDeprecatedErrQueueFullStillMatches(t *testing.T) {
-	if !errors.Is(updplane.ErrQueueFull, ErrQueueFull) {
-		t.Error("raw plane error no longer matches deprecated ErrQueueFull")
-	}
-	if !errors.Is(wrapErr("submit", updplane.ErrQueueFull), ErrQueueFull) {
-		t.Error("wrapped error no longer matches deprecated ErrQueueFull")
-	}
-}
-
 func TestWrapErrIdempotentAndNilSafe(t *testing.T) {
 	if wrapErr("op", nil) != nil {
 		t.Error("wrapErr(nil) != nil")

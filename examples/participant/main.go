@@ -29,12 +29,25 @@ func main() {
 	defer cancel()
 	mem := pvr.NewMemTransport()
 
-	// The out-of-band PKI the paper assumes: the churn provider and the
-	// pure auditor share it; the BGP neighbor instead pins keys
-	// trust-on-first-use from the session.
-	network := pvr.NewNetwork()
-	provider, err := network.AddNode(64700)
+	// The out-of-band PKI the paper assumes: the churn provider, the
+	// origin, and the pure auditor share it; the BGP neighbor instead pins
+	// keys trust-on-first-use from the session.
+	reg := pvr.NewRegistry()
+
+	// The churn provider signs the input routes the origin ingests. It
+	// needs an identity, not sessions: a participant with its own key
+	// (a daemon would load one from disk) registered in the shared PKI.
+	providerKey, err := pvr.GenerateEd25519()
 	check(err)
+	provider, err := pvr.Open(ctx,
+		pvr.WithASN(64700),
+		pvr.WithSigner(providerKey),
+		pvr.WithTransport(mem),
+		pvr.WithRegistry(reg),
+		pvr.WithHoldTime(0),
+	)
+	check(err)
+	defer provider.Close()
 
 	pfxs := []pvr.Prefix{
 		pvr.MustParsePrefix("203.0.113.0/24"),
@@ -47,7 +60,7 @@ func main() {
 	origin, err := pvr.Open(ctx,
 		pvr.WithASN(64500),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithOriginate(pfxs...),
 		pvr.WithShards(4),
 		pvr.WithWindow(0),
@@ -73,7 +86,7 @@ func main() {
 	auditor, err := pvr.Open(ctx,
 		pvr.WithASN(64502),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithGossipListen("auditor-audit"),
 		pvr.WithHoldTime(0),
 	)

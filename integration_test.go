@@ -125,7 +125,7 @@ func TestIntegrationSessionCarriesVerifiableAnnouncement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pvr.VerifyPromiseeView(reg, view); err != nil {
+	if err := core.VerifyPromiseeView(reg, view); err != nil {
 		t.Fatalf("end-to-end verification failed: %v", err)
 	}
 	if view.Winner == nil || view.Winner.Provider != providerASN {

@@ -23,8 +23,7 @@ import (
 // re-verifies every signature and re-runs the judge during replay, so a
 // tampered ledger fails loudly instead of minting convictions.
 type Ledger struct {
-	log  *store.Log
-	path string
+	log *store.Log
 
 	mu  sync.Mutex
 	met *auditMetrics // detached handles until an Auditor instruments us
@@ -63,12 +62,6 @@ var ErrLedgerCorrupt = errors.New("auditnet: ledger corrupt")
 // are migrated into the WAL and the file is kept beside it as
 // path+".v1".
 func OpenLedger(path string) (*Ledger, []LedgerRecord, error) {
-	return OpenLedgerAt(path, store.Options{})
-}
-
-// OpenLedgerAt is OpenLedger with explicit WAL options (group-commit
-// cadence, metrics).
-func OpenLedgerAt(path string, opt store.Options) (*Ledger, []LedgerRecord, error) {
 	migrated, err := readLegacy(path)
 	if err != nil {
 		return nil, nil, err
@@ -77,16 +70,27 @@ func OpenLedgerAt(path string, opt store.Options) (*Ledger, []LedgerRecord, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("auditnet: open ledger: %w", err)
 	}
-	return openLedger(b, opt, path, migrated)
+	return openLedger(b, store.Options{}, migrated)
 }
 
 // OpenLedgerBackend opens the ledger on an arbitrary store backend (a
-// Participant's shared durable store, a netsim Mem, a fault injector).
-func OpenLedgerBackend(b store.Backend, opt store.Options) (*Ledger, []LedgerRecord, error) {
-	return openLedger(b, opt, "", nil)
+// Participant's shared durable store, a netsim Mem, a fault injector)
+// with explicit WAL options. When legacy names a regular file, it is
+// migrated as OpenLedger migrates one: its records are re-appended into
+// the backend's WAL and the file is kept aside as legacy+".v1". Call it
+// before anything creates the backend's directory at legacy.
+func OpenLedgerBackend(b store.Backend, opt store.Options, legacy string) (*Ledger, []LedgerRecord, error) {
+	var migrated [][]byte
+	if legacy != "" {
+		var err error
+		if migrated, err = readLegacy(legacy); err != nil {
+			return nil, nil, err
+		}
+	}
+	return openLedger(b, opt, migrated)
 }
 
-func openLedger(b store.Backend, opt store.Options, path string, migrated [][]byte) (*Ledger, []LedgerRecord, error) {
+func openLedger(b store.Backend, opt store.Options, migrated [][]byte) (*Ledger, []LedgerRecord, error) {
 	log, rec, err := store.OpenLog(b, opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrLedgerCorrupt, err)
@@ -100,7 +104,7 @@ func openLedger(b store.Backend, opt store.Options, path string, migrated [][]by
 		}
 		recs = append(recs, lr)
 	}
-	l := &Ledger{log: log, path: path}
+	l := &Ledger{log: log}
 	// Re-home legacy records into the WAL before anything else lands.
 	for _, payload := range migrated {
 		lr, err := decodeLedgerRecord(store.Record{Type: recConflict, Data: payload})
@@ -219,9 +223,6 @@ func (l *Ledger) instrument(m *auditMetrics) {
 
 // Log exposes the underlying write-ahead log (for stats and tests).
 func (l *Ledger) Log() *store.Log { return l.log }
-
-// Path returns the backing directory ("" when opened on a backend).
-func (l *Ledger) Path() string { return l.path }
 
 // Close flushes pending appends and closes the log.
 func (l *Ledger) Close() error { return l.log.Close() }

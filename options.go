@@ -29,19 +29,15 @@ type participantConfig struct {
 	hold      uint16
 	originate []Prefix
 
-	maxLen  int
-	shards  int
-	workers int
+	shards int
 
-	window   time.Duration
-	queue    int
-	maxBatch int
-	churn    int
+	window time.Duration
+	queue  int
+	churn  int
 
 	gossipListen   string
 	gossipPeers    []string
 	gossipInterval time.Duration
-	ledgerPath     string
 
 	discloseListen string
 	promisees      []ASN
@@ -49,7 +45,6 @@ type participantConfig struct {
 	storeDir     string
 	storeBackend StoreBackend
 	storeFault   *StoreFault
-	storeCfg     StoreConfig
 
 	zkBind  bool
 	ringKey *RingKey
@@ -61,7 +56,6 @@ type participantConfig struct {
 func defaultConfig() *participantConfig {
 	return &participantConfig{
 		hold:           9,
-		maxLen:         32,
 		window:         250 * time.Millisecond,
 		queue:          1024,
 		gossipInterval: 2 * time.Second,
@@ -92,7 +86,7 @@ func WithSigner(s Signer) Option {
 	}
 }
 
-// WithRegistry shares a verification-key registry (e.g. a Network's) with
+// WithRegistry shares a verification-key registry (see NewRegistry) with
 // the participant instead of starting from an empty trust-on-first-use
 // one. The participant registers its own key in it.
 func WithRegistry(r *Registry) Option {
@@ -150,18 +144,6 @@ func WithOriginate(prefixes ...Prefix) Option {
 	}
 }
 
-// WithMaxLen sets the §3.3 bit-vector length (maximum AS-path length K).
-// Default 32.
-func WithMaxLen(n int) Option {
-	return func(c *participantConfig) error {
-		if n <= 0 {
-			return errConfigf("option", "MaxLen must be positive, got %d", n)
-		}
-		c.maxLen = n
-		return nil
-	}
-}
-
 // WithShards sets the engine shard count (0 = one per CPU).
 func WithShards(n int) Option {
 	return func(c *participantConfig) error {
@@ -173,22 +155,10 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithWorkers sizes the update plane's dirty-prefix rebuild pool
-// (0 = GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(c *participantConfig) error {
-		if n < 0 {
-			return errConfigf("option", "Workers must be non-negative, got %d", n)
-		}
-		c.workers = n
-		return nil
-	}
-}
-
 // WithWindow sets the streaming commitment window: a window seals at most
-// this long after its first event. Zero makes windows seal only on
-// MaxBatch overflow or explicit Flush (the deterministic mode tests use).
-// Default 250ms.
+// this long after its first event, or as soon as 4096 events have
+// accumulated. Zero makes windows seal only at 4096 events or on explicit
+// Flush (the deterministic mode tests use). Default 250ms.
 func WithWindow(d time.Duration) Option {
 	return func(c *participantConfig) error {
 		if d < 0 {
@@ -206,18 +176,6 @@ func WithQueueSize(n int) Option {
 			return errConfigf("option", "QueueSize must be non-negative, got %d", n)
 		}
 		c.queue = n
-		return nil
-	}
-}
-
-// WithMaxBatch forces a streaming window once this many events have
-// accumulated (default 4096).
-func WithMaxBatch(n int) Option {
-	return func(c *participantConfig) error {
-		if n < 0 {
-			return errConfigf("option", "MaxBatch must be non-negative, got %d", n)
-		}
-		c.maxBatch = n
 		return nil
 	}
 }
@@ -324,13 +282,6 @@ func WithRingDirectory(d *RingDirectory) Option {
 		c.ringDir = d
 		return nil
 	}
-}
-
-// WithLedger persists confirmed equivocation evidence to the file at
-// path; convictions survive restarts (the ledger is replayed and
-// re-verified at Open).
-func WithLedger(path string) Option {
-	return func(c *participantConfig) error { c.ledgerPath = path; return nil }
 }
 
 // WithLogf directs the participant's operational log lines (session

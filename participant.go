@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -27,10 +28,11 @@ import (
 )
 
 // Participant is one AS running all of PVR at once: the sharded prover
-// Engine over its routing table, the streaming UpdatePlane that re-seals
+// Engine over its routing table, the streaming update plane that re-seals
 // dirty shards under churn, BGP sessions that carry sealed commitments to
-// neighbors (and verify what neighbors claim), the audit-network Auditor
-// gossiping statements and evidence, and the persistent evidence Ledger.
+// neighbors (and verify what neighbors claim), and the audit-network
+// Auditor gossiping statements and evidence (persisted in the durable
+// store's evidence ledger when WithStore is given).
 //
 // The lifecycle is Open(ctx, opts...) → Run(ctx) → Stats() → Close():
 // Open validates options, builds the stack, seals the first epoch over
@@ -57,16 +59,15 @@ type Participant struct {
 	upSigner Signer
 	pfxs     []Prefix
 
-	plane   *UpdatePlane
+	plane   *updplane.Plane
 	auditor *Auditor
-	ledger  *Ledger
 
 	// dstate is the participant's durable state (nil without WithStore):
 	// sealed window position, trust-on-first-use pins, and the
 	// disclosure-nonce high-water mark, recovered at Open and written
 	// ahead of publication while running. storeBk is the resolved
-	// backend (shared with the ledger under "ledger/" when WithLedger is
-	// absent); storeMet the pvr_store_* metric set both logs share.
+	// backend (shared with the evidence ledger under "ledger/");
+	// storeMet the pvr_store_* metric set both logs share.
 	dstate     *durableState
 	storeBk    store.Backend
 	storeMet   *store.Metrics
@@ -126,7 +127,7 @@ type Participant struct {
 
 // Open builds and starts a participant: options are validated, the engine
 // commits and seals the originated prefixes into epoch 1, the auditor
-// replays the ledger, the BGP and gossip listeners bind, and the
+// replays the evidence ledger, the BGP and gossip listeners bind, and the
 // configured peers are dialed (bounded by ctx). The returned participant
 // is live — listeners accept, sessions pump — but periodic work (gossip
 // rounds, synthetic churn) starts with Run.
@@ -164,8 +165,8 @@ func Open(ctx context.Context, opts ...Option) (*Participant, error) {
 	if p.reg == nil {
 		p.reg = sigs.NewRegistry()
 	}
-	// A shared registry may already hold a key for this ASN (e.g. a
-	// Network node). Never overwrite it silently: signatures made under
+	// A shared registry may already hold a key for this ASN (another
+	// participant's). Never overwrite it silently: signatures made under
 	// the displaced key would stop verifying network-wide, and the two
 	// keys publishing on the same topics could read as equivocation.
 	// RegisterIfAbsent makes the check-and-install atomic, so concurrent
@@ -218,11 +219,13 @@ func Open(ctx context.Context, opts ...Option) (*Participant, error) {
 
 // buildEngine stands up the sharded prover and, when prefixes are
 // originated, the synthetic upstream provider that announces them (the
-// stand-in for real provider sessions), sealing the first epoch.
+// stand-in for real provider sessions), sealing the first epoch. The
+// bit-vector length (K = 32) and worker count (GOMAXPROCS) are the
+// engine's defaults.
 func (p *Participant) buildEngine() error {
 	eng, err := engine.New(engine.Config{
 		ASN: p.asn, Signer: p.signer, Registry: p.reg,
-		Shards: p.cfg.shards, MaxLen: p.cfg.maxLen, Workers: p.cfg.workers,
+		Shards: p.cfg.shards,
 		ZKBind: p.cfg.zkBind,
 		Obs:    p.obsReg, Tracer: p.tracer,
 	})
@@ -301,8 +304,8 @@ func (p *Participant) buildPriv() error {
 	return nil
 }
 
-// buildAuditor opens the ledger (replaying convictions) and seeds the
-// auditor with the participant's own shard seals.
+// buildAuditor opens the evidence ledger (replaying convictions) and
+// seeds the auditor with the participant's own shard seals.
 func (p *Participant) buildAuditor() error {
 	// The auditor verifies statements through the participant's shared
 	// seal memo: a seal statement checked on the gossip observe path is
@@ -312,33 +315,22 @@ func (p *Participant) buildAuditor() error {
 		ASN: p.asn, Registry: p.discSealMemo.Bind(p.reg),
 		Obs: p.obsReg, Tracer: p.tracer,
 	}
-	var (
-		led  *auditnet.Ledger
-		recs []auditnet.LedgerRecord
-		err  error
-	)
-	switch {
-	case p.cfg.ledgerPath != "":
-		led, recs, err = auditnet.OpenLedgerAt(p.cfg.ledgerPath, p.storeOptions())
-	case p.storeBk != nil:
-		// No explicit ledger path, but a durable store: the evidence
-		// ledger rides the same backend under its own WAL. Convictions
-		// are never snapshotted — replay re-verifies every signature, so
-		// a tampered store cannot mint one.
-		led, recs, err = auditnet.OpenLedgerBackend(store.Sub(p.storeBk, "ledger"), p.storeOptions())
-	}
-	if err != nil {
-		return wrapErr("open", err)
-	}
-	if led != nil {
-		p.ledger = led
+	if p.storeBk != nil {
+		// The evidence ledger rides the durable store under its own WAL.
+		// Convictions are never snapshotted — replay re-verifies every
+		// signature, so a tampered store cannot mint one. A v1 ledger
+		// file left where the WAL directory goes is migrated once.
+		var legacy string
+		if p.cfg.storeDir != "" {
+			legacy = filepath.Join(p.cfg.storeDir, "ledger")
+		}
+		led, recs, err := auditnet.OpenLedgerBackend(store.Sub(p.storeBk, "ledger"), p.storeOptions(), legacy)
+		if err != nil {
+			return wrapErr("open", err)
+		}
 		cfg.Ledger, cfg.Replay = led, recs
 		if len(recs) > 0 {
-			src := led.Path()
-			if src == "" {
-				src = "the durable store"
-			}
-			p.cfg.logf("pvr: replayed %d evidence records from %s", len(recs), src)
+			p.cfg.logf("pvr: replayed %d evidence records from the durable store", len(recs))
 		}
 		p.addCloser(func() {
 			if err := led.Close(); err != nil {
@@ -364,7 +356,8 @@ func (p *Participant) buildAuditor() error {
 
 // buildPlane starts the streaming update plane and the asynchronous
 // re-advertisement sender (a stalled peer's buffer must never wedge the
-// plane loop).
+// plane loop). The forced-window batch (4096 events) and the rebuild
+// pool (GOMAXPROCS) are the plane's defaults.
 func (p *Participant) buildPlane() error {
 	p.advertise = make(chan []bgp.Update, 4)
 	p.sendDone = make(chan struct{})
@@ -384,8 +377,6 @@ func (p *Participant) buildPlane() error {
 		Engine:    p.eng,
 		Window:    p.cfg.window,
 		QueueSize: p.cfg.queue,
-		MaxBatch:  p.cfg.maxBatch,
-		Workers:   p.cfg.workers,
 		OnWindow:  p.onWindow,
 		Obs:       p.obsReg,
 		Tracer:    p.tracer,
@@ -1014,8 +1005,7 @@ func (p *Participant) Reconcile(ctx context.Context, addr string) (*AuditStats, 
 
 // SignStatement signs an arbitrary gossip statement as this participant.
 // Honest participants publish only through their seals; this is for
-// simulations and tests that model Byzantine equivocation (compare
-// Node.SignExport).
+// simulations and tests that model Byzantine equivocation.
 func (p *Participant) SignStatement(topic string, payload []byte) (Statement, error) {
 	sig, err := p.signer.Sign(payload)
 	if err != nil {

@@ -29,6 +29,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// openProvider opens a participant that originates nothing and serves
+// nothing: an identity that signs input announcements (Announce) for the
+// participants under test. Its key lands in the registry WithRegistry
+// shares, or in its own private one.
+func openProvider(t *testing.T, asn pvr.ASN, opts ...pvr.Option) *pvr.Participant {
+	t.Helper()
+	p, err := pvr.Open(context.Background(), append([]pvr.Option{
+		pvr.WithASN(asn), pvr.WithTransport(pvr.NewMemTransport()), pvr.WithHoldTime(0),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
 func TestParticipantsEndToEndConviction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -37,11 +53,8 @@ func TestParticipantsEndToEndConviction(t *testing.T) {
 	// A shared out-of-band PKI for the churn provider; A joins it so
 	// announcements from the provider verify. B and C start from empty
 	// registries and pin A's key trust-on-first-use.
-	network := pvr.NewNetwork()
-	provider, err := network.AddNode(64700)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := pvr.NewRegistry()
+	provider := openProvider(t, 64700, pvr.WithRegistry(reg))
 
 	pfxs := []pvr.Prefix{
 		pvr.MustParsePrefix("203.0.113.0/24"),
@@ -55,7 +68,7 @@ func TestParticipantsEndToEndConviction(t *testing.T) {
 	a, err := pvr.Open(ctx,
 		pvr.WithASN(64500),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithOriginate(pfxs...),
 		pvr.WithShards(4),
 		pvr.WithWindow(0),
@@ -89,7 +102,7 @@ func TestParticipantsEndToEndConviction(t *testing.T) {
 	c, err := pvr.Open(ctx,
 		pvr.WithASN(64502),
 		pvr.WithTransport(mem),
-		pvr.WithRegistry(network.Registry()),
+		pvr.WithRegistry(reg),
 		pvr.WithGossipListen("gc"),
 		pvr.WithHoldTime(0),
 		pvr.WithLogf(t.Logf),
@@ -234,26 +247,35 @@ func TestOpenConfigErrors(t *testing.T) {
 	if _, err := pvr.Open(ctx, pvr.WithASN(1), pvr.WithWindow(-1)); !errors.Is(err, pvr.ErrConfig) {
 		t.Fatalf("Open with negative window: %v, want ErrConfig", err)
 	}
+	// WithStore and WithStoreBackend each name where the durable state
+	// lives; honouring one would silently leave the other unwritten.
+	if _, err := pvr.Open(ctx, pvr.WithASN(1), pvr.WithStore(t.TempDir()),
+		pvr.WithStoreBackend(pvr.NewMemStore())); !errors.Is(err, pvr.ErrConfig) {
+		t.Fatalf("Open with WithStore and WithStoreBackend: %v, want ErrConfig", err)
+	}
 	// A shared registry that already holds a key for the ASN must not be
 	// silently overwritten by a fresh Participant key.
-	network := pvr.NewNetwork()
-	if _, err := network.AddNode(64500); err != nil {
+	shared := pvr.NewRegistry()
+	held, err := pvr.GenerateEd25519()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pvr.Open(ctx, pvr.WithASN(64500), pvr.WithRegistry(network.Registry())); !errors.Is(err, pvr.ErrConfig) {
+	shared.Register(64500, held.Public())
+	if _, err := pvr.Open(ctx, pvr.WithASN(64500), pvr.WithRegistry(shared)); !errors.Is(err, pvr.ErrConfig) {
 		t.Fatalf("Open over an ASN with a registered key: %v, want ErrConfig", err)
 	}
 	// A failed Open must roll back the keys it added, so a shared
-	// registry is not poisoned for the retry.
+	// registry is not poisoned for the retry. The evidence ledger opens
+	// after the engine registered the synthetic upstream's key; a file at
+	// the ledger's path that is not a v1 ledger fails that step.
 	reg := pvr.NewRegistry()
-	// A path through a regular file cannot become the ledger directory.
-	blocker := t.TempDir() + "/blocker"
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(dir+"/ledger", []byte("not a ledger"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pvr.Open(ctx, pvr.WithASN(7), pvr.WithRegistry(reg),
 		pvr.WithOriginate(pvr.MustParsePrefix("203.0.113.0/24")),
-		pvr.WithLedger(blocker+"/ledger")); err == nil {
+		pvr.WithStore(dir)); err == nil {
 		t.Fatal("Open with an unopenable ledger succeeded")
 	}
 	retry, err := pvr.Open(ctx, pvr.WithASN(7), pvr.WithRegistry(reg),

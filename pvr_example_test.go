@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net/netip"
 	"time"
 
 	"pvr"
@@ -54,85 +53,6 @@ func ExampleParticipant() {
 	st := neighbor.Stats()
 	fmt.Printf("verified %d sealed route(s), rejected %d\n", st.RoutesVerified, st.RoutesRejected)
 	// Output: verified 1 sealed route(s), rejected 0
-}
-
-// ExampleProver runs one epoch of the §3.3 minimum-route protocol: the
-// provider announces a signed route, the prover commits to the bit
-// vector, and the promisee verifies the disclosure.
-func ExampleProver() {
-	network := pvr.NewNetwork()
-	a, _ := network.AddNode(64500)        // the prover A
-	n1, _ := network.AddNode(64501)       // provider N1
-	promisee, _ := network.AddNode(64510) // promisee B
-
-	pfx := pvr.MustParsePrefix("203.0.113.0/24")
-	prover, err := a.NewProver(32)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prover.BeginEpoch(1, pfx)
-
-	ann, err := n1.Announce(a.ASN(), 1, pvr.Route{
-		Prefix:  pfx,
-		Path:    pvr.NewPath(n1.ASN(), 64800),
-		NextHop: netip.MustParseAddr("192.0.2.1"),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := prover.AcceptAnnouncement(ann); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := prover.CommitMin(); err != nil {
-		log.Fatal(err)
-	}
-	view, err := prover.DiscloseToPromisee(promisee.ASN())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := pvr.VerifyPromiseeView(network.Registry(), view); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("promise kept: exported %s over %d-hop input\n",
-		view.Export.Route.Prefix, ann.Route.PathLen())
-	// Output: promise kept: exported 203.0.113.0/24 over 2-hop input
-}
-
-// ExampleAuditor shows equivocation detection from signed statements
-// alone: two validly signed, different payloads on one topic convict the
-// origin, and the evidence is transferable to any third party.
-func ExampleAuditor() {
-	reg := pvr.NewRegistry()
-	signer, err := pvr.GenerateEd25519()
-	if err != nil {
-		log.Fatal(err)
-	}
-	liar := pvr.ASN(64500)
-	reg.Register(liar, signer.Public())
-
-	auditor, err := pvr.NewAuditor(pvr.AuditorConfig{ASN: 64501, Registry: reg})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sign := func(payload string) pvr.Statement {
-		sig, err := signer.Sign([]byte(payload))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return pvr.Statement{Origin: liar, Topic: "seal/epoch-1", Payload: []byte(payload), Sig: sig}
-	}
-	if _, _, err := auditor.AddRecord(pvr.AuditRecord{Epoch: 1, S: sign("root-A")}); err != nil {
-		log.Fatal(err)
-	}
-	// The same topic, a different validly signed payload: equivocation.
-	_, conflict, err := auditor.AddRecord(pvr.AuditRecord{Epoch: 1, S: sign("root-B")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("conflict detected: %v\nconvicted: %v\n", conflict != nil, auditor.Convicted(liar))
-	// Output:
-	// conflict detected: true
-	// convicted: true
 }
 
 // ExampleParticipant_RequestDisclosure is the disclosure query plane in

@@ -11,8 +11,7 @@ import (
 // on a directory; NewMemStore gives an in-memory backend with
 // power-loss semantics for simulations; NewStoreFault wraps either with
 // a fault injector. One backend carries both the participant's state
-// store (under "state/") and, absent WithLedger, its evidence ledger
-// (under "ledger/").
+// store (under "state/") and its evidence ledger (under "ledger/").
 type StoreBackend = store.Backend
 
 // MemStore is an in-memory StoreBackend with power-loss semantics:
@@ -34,26 +33,6 @@ type StoreFault = store.Fault
 
 // NewStoreFault returns a fault injector with no faults armed.
 var NewStoreFault = store.NewFault
-
-// StoreConfig tunes the durable store's group commit and snapshot
-// cadence. The zero value means defaults.
-type StoreConfig struct {
-	// FlushEvery is the group-commit window: an append becomes durable at
-	// most this long after it is enqueued, and every record that arrives
-	// while the flush leader waits rides the same fsync. Zero flushes
-	// immediately (concurrent appenders still batch behind the in-flight
-	// fsync).
-	FlushEvery time.Duration
-	// MaxBatch flushes early once this many records are pending
-	// (default 64).
-	MaxBatch int
-	// SegmentBytes rolls the active WAL segment past this size
-	// (default 4 MiB).
-	SegmentBytes int64
-	// SnapshotEvery is how many appended records arm the next state
-	// snapshot (taken at the following seal window; default 256).
-	SnapshotEvery int
-}
 
 // StoreStats reports what the durable store recovered at Open; zero
 // (Enabled false) when the participant runs without one.
@@ -79,12 +58,17 @@ type StoreStats struct {
 }
 
 // WithStore persists the participant's state — sealed window sequence,
-// trust-on-first-use key pins, disclosure-nonce high-water marks, and
-// (absent WithLedger) the evidence ledger — under dir, a directory of
-// write-ahead-log segments and snapshots. On reopen the participant
-// recovers the latest snapshot, replays the WAL behind it, and resumes
-// the sealed window sequence, so a restart never reuses a window number
-// it already published (which peers would convict as equivocation).
+// trust-on-first-use key pins, disclosure-nonce high-water marks, and the
+// evidence ledger — under dir, a directory of write-ahead-log segments
+// and snapshots (state in dir/state, evidence in dir/ledger). On reopen
+// the participant recovers the latest snapshot, replays the WAL behind
+// it, and resumes the sealed window sequence, so a restart never reuses
+// a window number it already published (which peers would convict as
+// equivocation); the ledger is replayed and re-verified, so convictions
+// survive too. A legacy single-file (v1) ledger found at dir/ledger is
+// migrated into the WAL once and kept aside as dir/ledger.v1.
+//
+// WithStore and WithStoreBackend are exclusive.
 func WithStore(dir string) Option {
 	return func(c *participantConfig) error {
 		if dir == "" {
@@ -120,22 +104,6 @@ func WithStoreFault(f *StoreFault) Option {
 			return errConfigf("option", "StoreFault must be non-nil")
 		}
 		c.storeFault = f
-		return nil
-	}
-}
-
-// WithStoreConfig tunes the durable store (see StoreConfig); zero
-// fields keep their defaults. It applies to the state store and, when
-// the ledger shares the store, to the ledger's WAL too.
-func WithStoreConfig(sc StoreConfig) Option {
-	return func(c *participantConfig) error {
-		if sc.FlushEvery < 0 {
-			return errConfigf("option", "StoreConfig.FlushEvery must be non-negative, got %s", sc.FlushEvery)
-		}
-		if sc.MaxBatch < 0 || sc.SegmentBytes < 0 || sc.SnapshotEvery < 0 {
-			return errConfigf("option", "StoreConfig sizes must be non-negative")
-		}
-		c.storeCfg = sc
 		return nil
 	}
 }
