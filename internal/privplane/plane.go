@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,7 +44,16 @@ type Plane struct {
 	met *privMetrics
 
 	mu     sync.Mutex
-	proofs map[string]*VectorView
+	proofs map[string]*proofEntry
+}
+
+// proofEntry is one cached vector proof. The first caller for a key
+// builds it and closes done; callers arriving meanwhile wait on done
+// instead of building their own.
+type proofEntry struct {
+	done chan struct{}
+	vv   *VectorView
+	err  error
 }
 
 // VectorView is the auditor-facing ZK material for one sealed prefix: the
@@ -63,7 +73,7 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.MinRing < 2 {
 		cfg.MinRing = 2
 	}
-	return &Plane{cfg: cfg, met: newPrivMetrics(cfg.Obs), proofs: make(map[string]*VectorView)}, nil
+	return &Plane{cfg: cfg, met: newPrivMetrics(cfg.Obs), proofs: make(map[string]*proofEntry)}, nil
 }
 
 // Dir returns the plane's ring-key directory.
@@ -154,34 +164,53 @@ func (p *Plane) VectorView(pfx prefix.Prefix) (*VectorView, *engine.SealedCommit
 	}
 	key := fmt.Sprintf("%d/%d/%s", sc.Seal.Epoch, sc.Seal.Window, pfx)
 	p.mu.Lock()
-	vv, ok := p.proofs[key]
-	p.mu.Unlock()
-	if ok {
-		p.met.proofHits.Inc()
-		return vv, sc, nil
-	}
-	t0 := time.Now()
-	vp, err := zkp.ProveVector(cs, os, VectorCtx(sc))
-	if err != nil {
-		return nil, nil, err
-	}
-	p.met.proofGenSec.ObserveSince(t0)
-	p.met.proofsBuilt.Inc()
-	vv = &VectorView{Commitments: cs, Proof: vp}
-	p.mu.Lock()
-	// Window transitions strand old keys; sweep them when the map grows
-	// past the live prefix set (cheap: proofs dominate the cost).
-	if len(p.proofs) > 0 {
+	ent, ok := p.proofs[key]
+	if !ok {
+		// Window transitions strand old keys; sweep them whenever a new
+		// key arrives (cheap: proofs dominate the cost).
 		pre := fmt.Sprintf("%d/%d/", sc.Seal.Epoch, sc.Seal.Window)
 		for k := range p.proofs {
-			if len(k) < len(pre) || k[:len(pre)] != pre {
+			if !strings.HasPrefix(k, pre) {
 				delete(p.proofs, k)
 			}
 		}
+		ent = &proofEntry{done: make(chan struct{})}
+		p.proofs[key] = ent
 	}
-	p.proofs[key] = vv
 	p.mu.Unlock()
-	return vv, sc, nil
+	if ok {
+		<-ent.done
+		if ent.err != nil {
+			return nil, nil, ent.err
+		}
+		p.met.proofHits.Inc()
+		return ent.vv, sc, nil
+	}
+	if err := p.buildProof(ent, cs, os, sc); err != nil {
+		// Drop the failed entry so a later call retries.
+		p.mu.Lock()
+		if p.proofs[key] == ent {
+			delete(p.proofs, key)
+		}
+		p.mu.Unlock()
+		return nil, nil, err
+	}
+	return ent.vv, sc, nil
+}
+
+// buildProof fills ent and releases its waiters.
+func (p *Plane) buildProof(ent *proofEntry, cs []zkp.Commitment, os []zkp.Opening, sc *engine.SealedCommitment) error {
+	defer close(ent.done)
+	t0 := time.Now()
+	vp, err := zkp.ProveVector(cs, os, VectorCtx(sc))
+	if err != nil {
+		ent.err = err
+		return err
+	}
+	p.met.proofGenSec.ObserveSince(t0)
+	p.met.proofsBuilt.Inc()
+	ent.vv = &VectorView{Commitments: cs, Proof: vp}
+	return nil
 }
 
 // VerifyAuditorProof is the third party's check of a ZK opening: the

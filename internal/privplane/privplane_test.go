@@ -3,6 +3,7 @@ package privplane
 import (
 	"bytes"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"pvr/internal/aspath"
@@ -294,5 +295,43 @@ func TestVectorViewVerifiesAndCaches(t *testing.T) {
 	mut.Commitments[0], mut.Commitments[1] = mut.Commitments[1], mut.Commitments[0]
 	if p.VerifyAuditorProof(sc, mut) == nil {
 		t.Fatal("reordered commitment vector verified")
+	}
+}
+
+func TestVectorViewBuildsOnceForConcurrentCallers(t *testing.T) {
+	e := newEnv(t, 3, 1)
+	reg := obs.NewRegistry()
+	p, err := New(Config{Engine: e.eng, Dir: e.dir, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	views := make([]*VectorView, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			vv, _, err := p.VectorView(e.pfxs[0])
+			if err != nil {
+				t.Error(err)
+			}
+			views[i] = vv
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if built, _ := reg.Value("pvr_priv_proofs_built_total"); built != 1 {
+		t.Fatalf("%d concurrent callers built %v proofs, want 1", callers, built)
+	}
+	if hits, _ := reg.Value("pvr_priv_proof_cache_hits_total"); hits != callers-1 {
+		t.Fatalf("cache hits = %v, want %d", hits, callers-1)
+	}
+	for _, vv := range views[1:] {
+		if vv != views[0] {
+			t.Fatal("concurrent callers got different proofs")
+		}
 	}
 }

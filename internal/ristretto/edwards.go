@@ -1,26 +1,21 @@
-package ed25519batch
+package ristretto
 
 import "math/big"
-
-// point is a curve point in extended homogeneous coordinates
-// (X : Y : Z : T) with x = X/Z, y = Y/Z, xy = T/Z on the twisted
-// Edwards curve -x² + y² = 1 + d·x²y² over GF(2^255-19).
-type point struct {
-	x, y, z, t fe
-}
 
 // Curve constants, initialized from their RFC 8032 decimal values.
 var (
 	feD      fe // d = -121665/121666
 	feD2     fe // 2d
 	feSqrtM1 fe // √-1 = 2^((p-1)/4)
-	basePt   point
+	// feInvSqrtAMinusD is 1/√(a-d) with a = -1 (RFC 9496 §4.1).
+	feInvSqrtAMinusD fe
+	basePt           Point
 )
 
 func feFromDecimal(s string) fe {
 	n, ok := new(big.Int).SetString(s, 10)
 	if !ok {
-		panic("ed25519batch: bad constant")
+		panic("ristretto: bad constant")
 	}
 	var b [32]byte
 	raw := n.Bytes() // big-endian
@@ -29,7 +24,7 @@ func feFromDecimal(s string) fe {
 	}
 	var v fe
 	if !v.setBytes(&b) {
-		panic("ed25519batch: non-canonical constant")
+		panic("ristretto: non-canonical constant")
 	}
 	return v
 }
@@ -42,13 +37,19 @@ func init() {
 	basePt.y = feFromDecimal("46316835694926478169428394003475163141307993866256225615783033603165251855960")
 	basePt.z = feOne
 	basePt.t.mul(&basePt.x, &basePt.y)
-	if !basePt.onCurve() {
-		panic("ed25519batch: base point sanity check failed")
+	feInvSqrtAMinusD = feFromDecimal("54469307008909316920995813868745141605393597292927456921205312896311721017578")
+	var chk, aMinusD fe
+	aMinusD.sub(&feZero, &feOne)
+	aMinusD.sub(&aMinusD, &feD)
+	chk.square(&feInvSqrtAMinusD)
+	chk.mul(&chk, &aMinusD)
+	if !chk.equal(&feOne) || !basePt.onCurve() {
+		panic("ristretto: curve constant sanity check failed")
 	}
 }
 
 // setIdentity sets p to the neutral element (0 : 1 : 1 : 0).
-func (p *point) setIdentity() *point {
+func (p *Point) setIdentity() *Point {
 	p.x = feZero
 	p.y = feOne
 	p.z = feOne
@@ -56,13 +57,8 @@ func (p *point) setIdentity() *point {
 	return p
 }
 
-// isIdentity reports whether p is the neutral element.
-func (p *point) isIdentity() bool {
-	return p.x.isZero() && p.y.equal(&p.z)
-}
-
 // neg sets p = -q: (-X : Y : Z : -T).
-func (p *point) neg(q *point) *point {
+func (p *Point) neg(q *Point) *Point {
 	p.x.neg(&q.x)
 	p.y = q.y
 	p.z = q.z
@@ -72,7 +68,7 @@ func (p *point) neg(q *point) *point {
 
 // add sets p = a + b using the extended-coordinates addition of
 // Hisil–Wong–Carter–Dawson 2008 specialized to a = -1.
-func (p *point) add(a, b *point) *point {
+func (p *Point) add(a, b *Point) *Point {
 	var yPlusX1, yMinusX1, yPlusX2, yMinusX2, pp, mm, tt2d, zz2 fe
 	yPlusX1.add(&a.y, &a.x)
 	yMinusX1.sub(&a.y, &a.x)
@@ -99,7 +95,7 @@ func (p *point) add(a, b *point) *point {
 }
 
 // double sets p = 2a (dbl-2008-hwcd, a = -1).
-func (p *point) double(a *point) *point {
+func (p *Point) double(a *Point) *Point {
 	var xx, yy, zz2, xy, e, g, f, h fe
 	xx.square(&a.x)
 	yy.square(&a.y)
@@ -123,7 +119,7 @@ func (p *point) double(a *point) *point {
 
 // onCurve checks -x² + y² = z² + d·t²/z²·… in projective form:
 // (-X² + Y²)·Z² == Z⁴ + d·X²Y² and X·Y == Z·T.
-func (p *point) onCurve() bool {
+func (p *Point) onCurve() bool {
 	var xx, yy, zz, tz, xy, lhs, rhs, dxy fe
 	xx.square(&p.x)
 	yy.square(&p.y)
@@ -142,59 +138,34 @@ func (p *point) onCurve() bool {
 	return xy.equal(&tz)
 }
 
-// setBytes decodes a compressed Edwards point (RFC 8032 §5.1.3),
-// rejecting non-canonical y and unrecoverable x. Returns false on
-// failure.
-func (p *point) setBytes(in []byte) bool {
+// setEdwardsBytes decodes a compressed Edwards point (RFC 8032 §5.1.3),
+// rejecting non-canonical y, unrecoverable x, and the encoding of -0.
+func (p *Point) setEdwardsBytes(in []byte) bool {
 	if len(in) != 32 {
 		return false
 	}
 	var b [32]byte
 	copy(b[:], in)
-	signBit := b[31] >> 7
+	signBit := int(b[31] >> 7)
 	b[31] &= 0x7f
 	var y fe
 	if !y.setBytes(&b) {
 		return false
 	}
 
-	// x² = (y²-1)/(dy²+1); recover x via the combined sqrt/division
-	// x = (u/v)^((p+3)/8) = u·v³·(u·v⁷)^((p-5)/8).
-	var u, v, v3, v7, x, chk fe
+	// x² = (y²-1)/(dy²+1).
+	var u, v, x fe
 	u.square(&y)
 	v.mul(&u, &feD)
 	u.sub(&u, &feOne) // u = y² - 1
 	v.add(&v, &feOne) // v = dy² + 1
-
-	v3.square(&v)
-	v3.mul(&v3, &v) // v³
-	v7.square(&v3)
-	v7.mul(&v7, &v) // v⁷
-	x.mul(&u, &v7)
-	x.pow22523(&x) // (u·v⁷)^((p-5)/8)
-	x.mul(&x, &v3)
-	x.mul(&x, &u) // u·v³·(uv⁷)^((p-5)/8)
-
-	chk.square(&x)
-	chk.mul(&chk, &v) // v·x²
-	switch {
-	case chk.equal(&u):
-		// x is correct.
-	default:
-		var negU fe
-		negU.neg(&u)
-		if !chk.equal(&negU) {
-			return false // not a square: invalid point
-		}
-		x.mul(&x, &feSqrtM1)
+	if !x.sqrtRatio(&u, &v) {
+		return false // not a square: invalid point
 	}
-
 	if x.isZero() && signBit == 1 {
 		return false // -0 is not canonical
 	}
-	if x.isNegative() != (signBit == 1) {
-		x.neg(&x)
-	}
+	x.condNeg(&x, signBit) // sqrtRatio's root is non-negative
 
 	p.x = x
 	p.y = y
@@ -203,28 +174,13 @@ func (p *point) setBytes(in []byte) bool {
 	return true
 }
 
-// bytes returns the compressed encoding of p.
-func (p *point) bytes() [32]byte {
+// edwardsBytes returns the RFC 8032 compressed encoding of p.
+func (p *Point) edwardsBytes() [32]byte {
 	var zinv, x, y fe
 	zinv.invert(&p.z)
 	x.mul(&p.x, &zinv)
 	y.mul(&p.y, &zinv)
 	out := y.bytes()
-	if x.isNegative() {
-		out[31] |= 0x80
-	}
+	out[31] |= byte(x.isNegative()) << 7
 	return out
-}
-
-// invert sets v = a^(p-2) = a^(2^255 - 21) via pow22523:
-// a^(2^255-21) = (a^(2^252-3))^8 · a^3.
-func (v *fe) invert(a *fe) *fe {
-	var t, a3 fe
-	t.pow22523(a)
-	t.square(&t)
-	t.square(&t)
-	t.square(&t) // a^(2^255 - 24)
-	a3.square(a)
-	a3.mul(&a3, a) // a³
-	return v.mul(&t, &a3)
 }

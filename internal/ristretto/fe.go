@@ -1,21 +1,4 @@
-// Package ed25519batch implements batch verification of Ed25519
-// signatures from first principles: radix-51 field arithmetic over
-// GF(2^255-19), extended twisted-Edwards points, and a variable-time
-// Pippenger multi-scalar multiplication evaluating the cofactored batch
-// equation
-//
-//	[8]( [Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢhᵢ]Aᵢ ) == O
-//
-// with independent random 128-bit blinders zᵢ. Amortized across a batch
-// the multi-scalar multiplication costs a small constant number of point
-// additions per signature, versus a full double-scalar multiplication
-// for an individual verification — this is what makes §3.8-style bulk
-// verification of receipts, exports, and seals cheap.
-//
-// Everything here is verification of public data, so the arithmetic is
-// deliberately variable-time; do not reuse it for signing or key
-// operations.
-package ed25519batch
+package ristretto
 
 import "math/bits"
 
@@ -152,10 +135,11 @@ func (v *fe) sub(a, b *fe) *fe {
 // neg sets v = -a.
 func (v *fe) neg(a *fe) *fe { return v.sub(&feZero, a) }
 
-// isNegative reports whether the canonical encoding's low bit is set.
-func (v *fe) isNegative() bool {
+// isNegative returns 1 when the canonical encoding's low bit is set
+// (RFC 9496's IS_NEGATIVE), else 0.
+func (v *fe) isNegative() int {
 	b := v.bytes()
-	return b[0]&1 == 1
+	return int(b[0] & 1)
 }
 
 // isZero reports whether v ≡ 0 (mod p).
@@ -170,6 +154,33 @@ func (v *fe) equal(b *fe) bool {
 	var d fe
 	d.sub(v, b)
 	return d.isZero()
+}
+
+// selectFe sets v = a when cond == 1 and v = b when cond == 0, without
+// branching on cond.
+func (v *fe) selectFe(a, b *fe, cond int) *fe {
+	m := -uint64(cond)
+	for i := range v {
+		v[i] = m&a[i] | ^m&b[i]
+	}
+	return v
+}
+
+// condNeg sets v = -a when cond == 1 and v = a when cond == 0.
+func (v *fe) condNeg(a *fe, cond int) *fe {
+	var n fe
+	n.neg(a)
+	return v.selectFe(&n, a, cond)
+}
+
+// abs sets v = |a|, the non-negative one of ±a (RFC 9496's CT_ABS).
+func (v *fe) abs(a *fe) *fe { return v.condNeg(a, a.isNegative()) }
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // uint128 accumulator helpers.
@@ -283,4 +294,45 @@ func (v *fe) pow22523(a *fe) *fe {
 	t1.square(&t1)       // 2^251 - 2
 	t1.square(&t1)       // 2^252 - 4
 	return v.mul(&t1, a) // 2^252 - 3
+}
+
+// invert sets v = a^(p-2) = a^(2^255 - 21) via pow22523:
+// a^(2^255-21) = (a^(2^252-3))^8 · a^3.
+func (v *fe) invert(a *fe) *fe {
+	var t, a3 fe
+	t.pow22523(a)
+	t.square(&t)
+	t.square(&t)
+	t.square(&t) // a^(2^255 - 24)
+	a3.square(a)
+	a3.mul(&a3, a) // a³
+	return v.mul(&t, &a3)
+}
+
+// sqrtRatio sets r to the non-negative square root of u/v and reports
+// whether u/v is square (RFC 9496's SQRT_RATIO_M1). When it is not, r is
+// the root of i·u/v. Both point decoders use it.
+func (r *fe) sqrtRatio(u, v *fe) (wasSquare bool) {
+	var v3, v7, t fe
+	v3.square(v)
+	v3.mul(&v3, v) // v³
+	v7.square(&v3)
+	v7.mul(&v7, v) // v⁷
+	t.mul(u, &v7)
+	t.pow22523(&t) // (u·v⁷)^((p-5)/8)
+	t.mul(&t, &v3)
+	r.mul(&t, u) // u·v³·(u·v⁷)^((p-5)/8)
+
+	var check, negU, negUI, rPrime fe
+	check.square(r)
+	check.mul(&check, v) // v·r²
+	negU.neg(u)
+	negUI.mul(&negU, &feSqrtM1)
+	correct := check.equal(u)
+	flipped := check.equal(&negU)
+	flippedI := check.equal(&negUI)
+	rPrime.mul(r, &feSqrtM1)
+	r.selectFe(&rPrime, r, b2i(flipped || flippedI))
+	r.abs(r)
+	return correct || flipped
 }

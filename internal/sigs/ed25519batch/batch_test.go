@@ -8,98 +8,22 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"testing"
+
+	"pvr/internal/ristretto"
 )
 
-// --- field arithmetic ---
+// point adapts ristretto.Point to the Edwards encoding Ed25519 keys use.
+type point struct{ ristretto.Point }
 
-func feFromBig(t *testing.T, n *big.Int) fe {
-	t.Helper()
-	var b [32]byte
-	raw := n.Bytes()
-	for i, v := range raw {
-		b[len(raw)-1-i] = v
-	}
-	var v fe
-	if !v.setBytes(&b) {
-		t.Fatalf("non-canonical input %v", n)
-	}
-	return v
-}
+func (p *point) bytes() [32]byte { return p.EdwardsBytes() }
 
-func feToBig(v *fe) *big.Int {
-	b := v.bytes()
-	rev := make([]byte, 32)
-	for i := range b {
-		rev[31-i] = b[i]
-	}
-	return new(big.Int).SetBytes(rev)
-}
+var basePt = point{*ristretto.NewGeneratorPoint()}
 
-var prime = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
-
-func TestFieldOpsAgainstBig(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		a := new(big.Int).Rand(rng, prime)
-		b := new(big.Int).Rand(rng, prime)
-		fa := feFromBig(t, a)
-		fb := feFromBig(t, b)
-
-		var sum, diff, prod, sq fe
-		sum.add(&fa, &fb)
-		diff.sub(&fa, &fb)
-		prod.mul(&fa, &fb)
-		sq.square(&fa)
-
-		want := new(big.Int)
-		if got := feToBig(&sum); got.Cmp(want.Mod(want.Add(a, b), prime)) != 0 {
-			t.Fatalf("add mismatch: %v+%v got %v want %v", a, b, got, want)
-		}
-		if got := feToBig(&diff); got.Cmp(want.Mod(want.Sub(a, b), prime)) != 0 {
-			t.Fatalf("sub mismatch")
-		}
-		if got := feToBig(&prod); got.Cmp(want.Mod(want.Mul(a, b), prime)) != 0 {
-			t.Fatalf("mul mismatch")
-		}
-		if got := feToBig(&sq); got.Cmp(want.Mod(want.Mul(a, a), prime)) != 0 {
-			t.Fatalf("square mismatch")
-		}
-	}
-}
-
-func TestFieldInvert(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(11))
-	for i := 0; i < 50; i++ {
-		a := new(big.Int).Rand(rng, prime)
-		if a.Sign() == 0 {
-			continue
-		}
-		fa := feFromBig(t, a)
-		var inv, prod fe
-		inv.invert(&fa)
-		prod.mul(&fa, &inv)
-		if !prod.equal(&feOne) {
-			t.Fatalf("invert(%v) * a != 1", a)
-		}
-	}
-}
-
-func TestSetBytesRejectsNonCanonical(t *testing.T) {
-	// p itself, little-endian: 0xed, 0xff … 0x7f.
-	var b [32]byte
-	b[0] = 0xed
-	for i := 1; i < 31; i++ {
-		b[i] = 0xff
-	}
-	b[31] = 0x7f
-	var v fe
-	if v.setBytes(&b) {
-		t.Fatal("setBytes accepted p")
-	}
-	b[0] = 0xec // p-1 is canonical
-	if !v.setBytes(&b) {
-		t.Fatal("setBytes rejected p-1")
-	}
+// scalarMult sets out = [k mod l]p.
+func scalarMult(out, p *point, k *big.Int) *point {
+	var s ristretto.Scalar
+	out.VarTimeScalarMult(s.SetBigInt(k), &p.Point)
+	return out
 }
 
 // --- point arithmetic ---
@@ -111,11 +35,8 @@ func TestBasePointRoundTrip(t *testing.T) {
 		t.Fatalf("unexpected base point encoding %x", enc)
 	}
 	var p point
-	if !p.setBytes(enc[:]) {
+	if _, err := p.SetEdwardsBytes(enc[:]); err != nil {
 		t.Fatal("failed to decompress base point")
-	}
-	if !p.onCurve() {
-		t.Fatal("decompressed base point off curve")
 	}
 	if got := p.bytes(); got != enc {
 		t.Fatalf("round trip mismatch: %x vs %x", got, enc)
@@ -123,29 +44,26 @@ func TestBasePointRoundTrip(t *testing.T) {
 }
 
 func TestAddDoubleConsistency(t *testing.T) {
-	// 2B via double == B+B; [k]B stays on curve and matches add chains.
+	// 2B via scalarMult == B+B; [5]B matches an add chain.
 	var d, s point
-	d.double(&basePt)
-	s.add(&basePt, &basePt)
+	scalarMult(&d, &basePt, big.NewInt(2))
+	s.Add(&basePt.Point, &basePt.Point)
 	if d.bytes() != s.bytes() {
-		t.Fatal("double(B) != B+B")
+		t.Fatal("[2]B != B+B")
 	}
-	if !d.onCurve() {
-		t.Fatal("2B off curve")
-	}
-	// [5]B two ways.
 	var p5a, p5b, t4 point
-	t4.double(&d)         // 4B
-	p5a.add(&t4, &basePt) // 5B
+	t4.Add(&d.Point, &d.Point)        // 4B
+	p5a.Add(&t4.Point, &basePt.Point) // 5B
 	scalarMult(&p5b, &basePt, big.NewInt(5))
 	if p5a.bytes() != p5b.bytes() {
 		t.Fatal("[5]B mismatch between add chain and scalarMult")
 	}
-	// [l]B == identity.
+	// [l-1]B + B is the Edwards identity, encoded as y = 1.
 	var pl point
-	scalarMult(&pl, &basePt, order)
-	if !pl.isIdentity() {
-		t.Fatal("[l]B != identity")
+	scalarMult(&pl, &basePt, new(big.Int).Sub(order, big.NewInt(1)))
+	pl.Add(&pl.Point, &basePt.Point)
+	if got := pl.bytes(); got != [32]byte{1} {
+		t.Fatalf("[l]B != identity: %x", got)
 	}
 }
 
@@ -179,31 +97,6 @@ func clampedScalar(seed []byte) *big.Int {
 }
 
 func sha512Sum(b []byte) [64]byte { return sha512.Sum512(b) }
-
-// --- MSM ---
-
-func TestMSM128MatchesNaive(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(3))
-	for _, n := range []int{1, 2, 5, 33, 150} {
-		pts := make([]point, n)
-		limbs := make([][4]uint64, n)
-		var want point
-		want.setIdentity()
-		for i := 0; i < n; i++ {
-			k := new(big.Int).Rand(rng, order)
-			scalarMult(&pts[i], &basePt, k) // arbitrary distinct points
-			z := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 128))
-			limbs[i] = scalarLimbs(z)
-			var term point
-			scalarMult(&term, &pts[i], z)
-			want.add(&want, &term)
-		}
-		got := msm128(pts, limbs)
-		if got.bytes() != want.bytes() {
-			t.Fatalf("msm128 mismatch at n=%d", n)
-		}
-	}
-}
 
 // --- batch verification ---
 

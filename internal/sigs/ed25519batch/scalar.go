@@ -1,15 +1,17 @@
 package ed25519batch
 
-import "math/big"
+import (
+	"math/big"
 
-// order is the prime order l = 2^252 + 27742317777372353535851937790883648493
-// of the Ed25519 base-point subgroup. Scalar arithmetic rides on
-// math/big: batch verification performs a handful of 256-bit modular
-// multiplications per signature, which is noise next to the point
-// arithmetic, and big.Int keeps the reduction logic out of hand-rolled
-// limb code. Variable time is fine here — see the package comment.
-var order, _ = new(big.Int).SetString(
-	"7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
+	"pvr/internal/ristretto"
+)
+
+// order is the prime order l of the Ed25519 base-point subgroup. Scalar
+// arithmetic rides on math/big: batch verification performs a handful of
+// 256-bit modular multiplications per signature, which is noise next to
+// the point arithmetic. Variable time is fine here — see the package
+// comment.
+var order = ristretto.Order()
 
 // scalarFromLE interprets b (little-endian) as an integer; the caller
 // reduces mod order where needed.
@@ -29,34 +31,4 @@ func scalarIsCanonical(b []byte) bool {
 		return false
 	}
 	return scalarFromLE(b).Cmp(order) < 0
-}
-
-// scalarLimbs converts a non-negative k < 2^256 to little-endian 64-bit
-// limbs for windowed digit extraction.
-func scalarLimbs(k *big.Int) [4]uint64 {
-	var out [4]uint64
-	var buf [32]byte
-	k.FillBytes(buf[:]) // big-endian
-	for i := 0; i < 4; i++ {
-		// limb i covers bytes [24-8i, 32-8i) of the big-endian buffer.
-		off := 24 - 8*i
-		for j := 0; j < 8; j++ {
-			out[i] |= uint64(buf[off+7-j]) << (8 * j)
-		}
-	}
-	return out
-}
-
-// digit extracts the c-bit window starting at bit position pos.
-func digit(limbs *[4]uint64, pos, c uint) uint64 {
-	idx := pos / 64
-	shift := pos % 64
-	if idx >= 4 {
-		return 0
-	}
-	d := limbs[idx] >> shift
-	if shift+c > 64 && idx+1 < 4 {
-		d |= limbs[idx+1] << (64 - shift)
-	}
-	return d & ((1 << c) - 1)
 }

@@ -6,9 +6,9 @@
 // entitled to under α: "the promise holds" (the committed vector is a
 // valid minimum-operator vector), and nothing about the routes behind it.
 //
-// The serialized forms here are canonical: every group element is encoded
-// fixed-width (ElemSize bytes, big-endian, left-padded), so decode∘encode
-// is the identity on valid encodings — the property the wire fuzzers pin.
+// The serialized forms here are canonical: every element and scalar is a
+// fixed-width canonical encoding, so decode∘encode is the identity on
+// valid encodings — the property the wire fuzzers pin.
 package zkp
 
 import (
@@ -16,12 +16,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 )
 
-// ElemSize is the fixed encoding width of one group element: the 2048-bit
-// modulus rounded to bytes.
-const ElemSize = 256
+// ElemSize is the fixed encoding width of one group element or scalar.
+const ElemSize = 32
 
 // MaxVectorLen bounds the number of commitments a serialized vector or
 // proof may carry, mirroring core.MaxVectorLen so a hostile length field
@@ -30,7 +28,7 @@ const MaxVectorLen = 1024
 
 // vectorDigestTag domain-separates the commitment-vector digest sealed
 // into engine leaves.
-const vectorDigestTag = "pvr/zkp/vector-digest/v1"
+const vectorDigestTag = "pvr/zkp/vector-digest/v2"
 
 // VectorProof proves in zero knowledge that a committed bit vector is
 // well-formed for the §3.3 minimum operator: each C_i hides a bit, and
@@ -49,28 +47,11 @@ func ProveVector(cs []Commitment, os []Opening, ctx []byte) (*VectorProof, error
 	if len(cs) != len(os) {
 		return nil, errors.New("zkp: commitment/opening length mismatch")
 	}
-	vp := &VectorProof{}
-	for i := range cs {
-		bp, err := proveDlogOr(cs[i], os[i], ctxFor(ctx, "vbit", i))
-		if err != nil {
-			return nil, err
-		}
-		vp.BitProofs = append(vp.BitProofs, bp)
+	bits, diffs, err := proveBitsAndDiffs(cs, os, ctx, "vbit", "vdiff")
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		do := Opening{
-			Bit: os[i+1].Bit != os[i].Bit,
-			R:   new(big.Int).Mod(new(big.Int).Sub(os[i+1].R, os[i].R), groupQ),
-		}
-		bp, err := proveDlogOr(dc, do, ctxFor(ctx, "vdiff", i))
-		if err != nil {
-			return nil, err
-		}
-		vp.DiffProofs = append(vp.DiffProofs, bp)
-	}
-	return vp, nil
+	return &VectorProof{BitProofs: bits, DiffProofs: diffs}, nil
 }
 
 // VerifyVector checks a well-formedness proof against the public
@@ -79,62 +60,43 @@ func VerifyVector(cs []Commitment, vp *VectorProof, ctx []byte) error {
 	if vp == nil || len(vp.BitProofs) != len(cs) || len(vp.DiffProofs) != max(0, len(cs)-1) {
 		return fmt.Errorf("%w: shape", ErrBadProof)
 	}
-	for i := range cs {
-		if err := verifyDlogOr(cs[i], vp.BitProofs[i], ctxFor(ctx, "vbit", i)); err != nil {
-			return fmt.Errorf("bit %d: %w", i+1, err)
-		}
+	v, err := newVerifier(cs)
+	if err != nil {
+		return err
 	}
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		if err := verifyDlogOr(dc, vp.DiffProofs[i], ctxFor(ctx, "vdiff", i)); err != nil {
-			return fmt.Errorf("diff %d: %w", i+1, err)
-		}
+	if err := v.bitsAndDiffs(vp.BitProofs, vp.DiffProofs, ctx, "vbit", "vdiff"); err != nil {
+		return err
 	}
-	return nil
+	return v.check()
 }
 
 // Size returns the exact serialized size in bytes.
 func (vp *VectorProof) Size() int {
-	return 4 + 4 + (len(vp.BitProofs)+len(vp.DiffProofs))*6*ElemSize
-}
-
-// appendElem encodes x fixed-width; values are reduced mod p first so the
-// encoding of any in-group element fits and is unique.
-func appendElem(b []byte, x *big.Int) []byte {
-	var buf [ElemSize]byte
-	if x != nil {
-		new(big.Int).Mod(x, groupP).FillBytes(buf[:])
-	}
-	return append(b, buf[:]...)
-}
-
-func takeElem(b []byte) (*big.Int, []byte, error) {
-	if len(b) < ElemSize {
-		return nil, nil, errors.New("zkp: short element")
-	}
-	return new(big.Int).SetBytes(b[:ElemSize]), b[ElemSize:], nil
+	return 4 + 4 + (len(vp.BitProofs)+len(vp.DiffProofs))*BitProofSize
 }
 
 // MarshalBinary encodes the proof canonically: bit-proof count u32,
-// diff-proof count u32, then each proof's six elements fixed-width.
+// diff-proof count u32, then each proof's A0, A1, E0, Z0, Z1.
 func (vp *VectorProof) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 0, vp.Size())
 	out = binary.BigEndian.AppendUint32(out, uint32(len(vp.BitProofs)))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(vp.DiffProofs)))
-	for _, bp := range append(append([]*BitProof{}, vp.BitProofs...), vp.DiffProofs...) {
-		if bp == nil {
-			return nil, errors.New("zkp: nil bit proof")
-		}
-		for _, x := range []*big.Int{bp.A0, bp.A1, bp.E0, bp.E1, bp.Z0, bp.Z1} {
-			out = appendElem(out, x)
+	for _, bps := range [][]*BitProof{vp.BitProofs, vp.DiffProofs} {
+		for _, bp := range bps {
+			if bp == nil {
+				return nil, errors.New("zkp: nil bit proof")
+			}
+			out = append(append(append(append(append(out,
+				bp.A0[:]...), bp.A1[:]...), bp.E0[:]...), bp.Z0[:]...), bp.Z1[:]...)
 		}
 	}
 	return out, nil
 }
 
 // UnmarshalBinary decodes MarshalBinary's encoding. It enforces the exact
-// length implied by the counts, so the encoding round-trips byte for byte.
+// length implied by the counts and rejects non-canonical scalars, so the
+// encoding round-trips byte for byte. Group elements are checked when the
+// proof is verified.
 func (vp *VectorProof) UnmarshalBinary(b []byte) error {
 	if len(b) < 8 {
 		return errors.New("zkp: short proof")
@@ -145,20 +107,23 @@ func (vp *VectorProof) UnmarshalBinary(b []byte) error {
 	if nBits > MaxVectorLen || nDiffs > MaxVectorLen || nDiffs != max(0, nBits-1) {
 		return errors.New("zkp: proof shape out of range")
 	}
-	if len(b) != (nBits+nDiffs)*6*ElemSize {
+	if len(b) != (nBits+nDiffs)*BitProofSize {
 		return errors.New("zkp: proof length mismatch")
 	}
 	parse := func(n int) ([]*BitProof, error) {
-		out := make([]*BitProof, 0, n)
-		for i := 0; i < n; i++ {
+		out := make([]*BitProof, n)
+		for i := range out {
 			bp := &BitProof{}
-			var err error
-			for _, dst := range []**big.Int{&bp.A0, &bp.A1, &bp.E0, &bp.E1, &bp.Z0, &bp.Z1} {
-				if *dst, b, err = takeElem(b); err != nil {
-					return nil, err
-				}
+			copy(bp.A0[:], b[0:32])
+			copy(bp.A1[:], b[32:64])
+			copy(bp.E0[:], b[64:96])
+			copy(bp.Z0[:], b[96:128])
+			copy(bp.Z1[:], b[128:160])
+			if !bp.E0.IsCanonical() || !bp.Z0.IsCanonical() || !bp.Z1.IsCanonical() {
+				return nil, errors.New("zkp: non-canonical scalar")
 			}
-			out = append(out, bp)
+			out[i] = bp
+			b = b[BitProofSize:]
 		}
 		return out, nil
 	}
@@ -180,13 +145,14 @@ func MarshalCommitments(cs []Commitment) []byte {
 	out := make([]byte, 0, 4+len(cs)*ElemSize)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(cs)))
 	for _, c := range cs {
-		out = appendElem(out, c.C)
+		out = append(out, c[:]...)
 	}
 	return out
 }
 
 // UnmarshalCommitments decodes MarshalCommitments' encoding, enforcing the
-// exact length implied by the count.
+// exact length implied by the count. Elements are checked when a proof
+// over them is verified.
 func UnmarshalCommitments(b []byte) ([]Commitment, error) {
 	if len(b) < 4 {
 		return nil, errors.New("zkp: short commitment vector")
@@ -199,14 +165,9 @@ func UnmarshalCommitments(b []byte) ([]Commitment, error) {
 	if len(b) != n*ElemSize {
 		return nil, errors.New("zkp: commitment vector length mismatch")
 	}
-	out := make([]Commitment, 0, n)
-	for i := 0; i < n; i++ {
-		var c *big.Int
-		var err error
-		if c, b, err = takeElem(b); err != nil {
-			return nil, err
-		}
-		out = append(out, Commitment{C: c})
+	out := make([]Commitment, n)
+	for i := range out {
+		copy(out[i][:], b[i*ElemSize:])
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package zkp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -120,4 +121,113 @@ func TestCommitmentVectorSerialization(t *testing.T) {
 	if _, err := UnmarshalCommitments(b[:len(b)-1]); err == nil {
 		t.Fatal("short commitment vector decoded")
 	}
+}
+
+func TestVectorProofNamesFailingItem(t *testing.T) {
+	cs, os := commitVector(t, monotone(8, 4))
+	ctx := []byte("name")
+	for _, tc := range []struct {
+		want   string
+		mutate func(*VectorProof)
+	}{
+		{"diff 6", func(vp *VectorProof) { vp.DiffProofs[5].Z0 = vp.DiffProofs[5].Z1 }},
+		{"bit 3", func(vp *VectorProof) { vp.BitProofs[2].E0 = vp.BitProofs[2].Z0 }},
+		{"diff 7", func(vp *VectorProof) { vp.DiffProofs[6].A1 = vp.DiffProofs[0].A1 }},
+	} {
+		vp, err := ProveVector(cs, os, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(vp)
+		err = VerifyVector(cs, vp, ctx)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want+":") {
+			t.Errorf("corrupted %s: got error %v", tc.want, err)
+		}
+	}
+}
+
+func TestVectorProofRejectsTransplantedContext(t *testing.T) {
+	cs, os := commitVector(t, monotone(6, 3))
+	vp, err := ProveVector(cs, os, []byte("seal A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyVector(cs, vp, []byte("seal B")); err == nil {
+		t.Fatal("proof verified under another seal's context")
+	}
+	// A bit proof over the same commitment, made for the strawman's
+	// pinned-minimum proof, does not pass as a vector proof's.
+	mp, err := ProveMonotone(cs, os, 3, []byte("seal A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp.BitProofs[1] = mp.BitProofs[1]
+	if err := VerifyVector(cs, vp, []byte("seal A")); err == nil || !strings.HasPrefix(err.Error(), "bit 2:") {
+		t.Fatalf("transplanted bit proof: got error %v", err)
+	}
+	// Nor does a proof moved to another position.
+	vp, err = ProveVector(cs, os, []byte("seal A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp.BitProofs[4] = vp.BitProofs[5]
+	if err := VerifyVector(cs, vp, []byte("seal A")); err == nil {
+		t.Fatal("bit proof moved to another position verified")
+	}
+}
+
+// FuzzVectorProofDecode: never panic, and whatever decodes re-encodes to
+// the identical bytes.
+func FuzzVectorProofDecode(f *testing.F) {
+	cs, os, err := CommitBits(monotone(3, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	vp, err := ProveVector(cs, os, []byte("fuzz"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, err := vp.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var vp VectorProof
+		if err := vp.UnmarshalBinary(b); err != nil {
+			return
+		}
+		enc, err := vp.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded proof does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatal("proof round trip not stable")
+		}
+	})
+}
+
+// FuzzCommitmentsDecode: never panic, and whatever decodes re-encodes to
+// the identical bytes.
+func FuzzCommitmentsDecode(f *testing.F) {
+	cs, _, err := CommitBits(monotone(3, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc := MarshalCommitments(cs)
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cs, err := UnmarshalCommitments(b)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalCommitments(cs), b) {
+			t.Fatal("commitment vector round trip not stable")
+		}
+	})
 }

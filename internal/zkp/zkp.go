@@ -1,69 +1,46 @@
 // Package zkp implements the paper's second strawman (§3.1): verifying the
 // minimum-operator promise with general zero-knowledge proofs instead of
 // PVR's selective openings. It is a real, sound construction — Pedersen
-// commitments over the RFC 3526 2048-bit MODP group with Fiat–Shamir
-// OR-composed Schnorr proofs (Cramer–Damgård–Schoenmakers) — proving that
-// a committed bit vector is (a) bits, (b) monotone, and (c) consistent
-// with a public minimum m, without opening anything.
+// commitments bG + rH over ristretto255 with Fiat–Shamir OR-composed
+// Schnorr proofs (Cramer–Damgård–Schoenmakers) — proving that a committed
+// bit vector is (a) bits, (b) monotone, and (c) consistent with a public
+// minimum m, without opening anything.
 //
 // The point of the baseline is the cost curve: proof size and time grow
-// linearly in the vector length (the "policy complexity"), with ~six
-// 2048-bit exponentiations per position, versus PVR's openings at one
-// hash each. That is the paper's "scaling concerns as the complexity of
-// policy increases".
+// linearly in the vector length (the "policy complexity"): 160 bytes and
+// three fixed-base scalar multiplications per OR-proof to prove, and one
+// multi-scalar multiplication over every branch equation to verify,
+// versus PVR's openings at one hash each. That is the paper's "scaling
+// concerns as the complexity of policy increases".
+//
+// The prover multiplies its secret scalars (blinding factors, nonces and
+// simulated responses) only by the fixed generators, through package
+// ristretto's constant-time tables; its scalar arithmetic is math/big and
+// variable-time.
 package zkp
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
+	"crypto/sha512"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
+
+	"pvr/internal/ristretto"
 )
 
-// The RFC 3526 group 14 prime p (2048-bit safe prime, p = 2q+1). g = 4
-// generates the order-q subgroup of quadratic residues; h is a second
-// generator derived by hashing into the group, with unknown discrete log
-// relative to g.
-const modp2048Hex = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
+// challengeTag domain-separates every Fiat–Shamir challenge.
+const challengeTag = "pvr/zkp/fiat-shamir/v2"
 
-var (
-	groupP *big.Int // safe prime
-	groupQ *big.Int // (p-1)/2
-	genG   *big.Int
-	genH   *big.Int
-)
+// Commitment is a Pedersen commitment bG + rH in its canonical
+// ristretto255 encoding.
+type Commitment [ristretto.Size]byte
 
-func init() {
-	groupP, _ = new(big.Int).SetString(modp2048Hex, 16)
-	groupQ = new(big.Int).Rsh(new(big.Int).Sub(groupP, big.NewInt(1)), 1)
-	genG = big.NewInt(4) // 2² — a quadratic residue, generates the q-order subgroup
-	// h: hash-to-group with unknown dlog: h = (SHA-256 stream)² mod p.
-	seed := sha256.Sum256([]byte("pvr/zkp/h-generator/v1"))
-	x := new(big.Int).SetBytes(seed[:])
-	genH = new(big.Int).Exp(x, big.NewInt(2), groupP)
-}
-
-// Commitment is a Pedersen commitment g^b · h^r mod p.
-type Commitment struct {
-	C *big.Int
-}
-
-// Opening is the committed bit and blinding exponent.
+// Opening is the committed bit and blinding scalar.
 type Opening struct {
 	Bit bool
-	R   *big.Int
+	R   ristretto.Scalar
 }
 
 // ErrBadProof is returned when verification fails.
@@ -71,148 +48,110 @@ var ErrBadProof = errors.New("zkp: proof verification failed")
 
 // Commit commits to a bit.
 func Commit(bit bool) (Commitment, Opening, error) {
-	r, err := rand.Int(rand.Reader, groupQ)
+	r, err := ristretto.RandomScalar()
 	if err != nil {
 		return Commitment{}, Opening{}, err
 	}
-	c := new(big.Int).Exp(genH, r, groupP)
-	if bit {
-		c.Mul(c, genG)
-		c.Mod(c, groupP)
-	}
-	return Commitment{C: c}, Opening{Bit: bit, R: r}, nil
+	o := Opening{Bit: bit, R: r}
+	return o.commitment(), o, nil
+}
+
+// commitment computes bG + rH without branching on b.
+func (o *Opening) commitment() Commitment {
+	var c, bg ristretto.Point
+	c.ScalarMultH(&o.R)
+	bg.Select(ristretto.NewGeneratorPoint(), ristretto.NewIdentityPoint(), b2i(o.Bit))
+	return c.Add(&c, &bg).Bytes()
 }
 
 // Verify opens a commitment (used in tests; the ZK path never opens).
-func Verify(c Commitment, o Opening) bool {
-	want := new(big.Int).Exp(genH, o.R, groupP)
-	if o.Bit {
-		want.Mul(want, genG)
-		want.Mod(want, groupP)
+func Verify(c Commitment, o Opening) bool { return o.commitment() == c }
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return c.C != nil && want.Cmp(c.C) == 0
+	return 0
 }
 
-// BitProof is a Fiat–Shamir OR-proof that a commitment hides 0 or 1:
-// two simulated-or-real Schnorr transcripts whose challenges split the
-// hash of the commitments (CDS OR-composition).
+// BitProof is a Fiat–Shamir OR-proof that a commitment X hides 0 or 1:
+// Schnorr transcripts for X = r·H (branch 0) and X − G = r·H (branch 1),
+// one real and one simulated, whose challenges split the hash e of the
+// statement and both A's. E1 = e − E0 is recomputed, not sent.
 type BitProof struct {
-	A0, A1 *big.Int // Schnorr commitments for the two branches
-	E0, E1 *big.Int // split challenges, e0 + e1 = H(...)
-	Z0, Z1 *big.Int // responses
+	A0, A1 [ristretto.Size]byte // branch commitments, canonical encodings
+	E0     ristretto.Scalar     // branch-0 challenge
+	Z0, Z1 ristretto.Scalar     // branch responses
 }
 
-// proveDlogOr builds the OR-proof for statement "C = h^r (bit 0) OR C/g =
-// h^r (bit 1)", given the real opening.
-func proveDlogOr(c Commitment, o Opening, ctx []byte) (*BitProof, error) {
-	// Statements: X0 = C, X1 = C / g; prover knows dlog_h of X_{bit}.
-	gInv := new(big.Int).ModInverse(genG, groupP)
-	x0 := new(big.Int).Set(c.C)
-	x1 := new(big.Int).Mod(new(big.Int).Mul(c.C, gInv), groupP)
+// BitProofSize is a BitProof's wire size: A0, A1, E0, Z0, Z1.
+const BitProofSize = 5 * 32
 
-	real0 := !o.Bit
-	var xReal, xSim *big.Int
-	if real0 {
-		xReal, xSim = x0, x1
-	} else {
-		xReal, xSim = x1, x0
-	}
-	_ = xReal
-
-	// Simulate the false branch: pick eSim, zSim; aSim = h^zSim · xSim^{-eSim}.
-	eSim, err := rand.Int(rand.Reader, groupQ)
+// proveBit builds the OR-proof for the statement X = dG + rH with
+// d = o.Bit, where stmt holds the encodings X is bound by. The real
+// branch is b = o.Bit; the other is simulated. Each multiplication by a
+// secret scalar goes through a fixed-base table, and which branch is real
+// picks values by constant-time selects, never by control flow.
+func proveBit(o Opening, ctx []byte, stmt ...[]byte) (*BitProof, error) {
+	b := b2i(o.Bit)
+	w, err := ristretto.RandomScalar()
 	if err != nil {
 		return nil, err
 	}
-	zSim, err := rand.Int(rand.Reader, groupQ)
+	eSim, err := ristretto.RandomScalar()
 	if err != nil {
 		return nil, err
 	}
-	xSimInv := new(big.Int).ModInverse(xSim, groupP)
-	aSim := new(big.Int).Exp(genH, zSim, groupP)
-	aSim.Mul(aSim, new(big.Int).Exp(xSimInv, eSim, groupP))
-	aSim.Mod(aSim, groupP)
-
-	// Real branch: a = h^w.
-	w, err := rand.Int(rand.Reader, groupQ)
+	zSim, err := ristretto.RandomScalar()
 	if err != nil {
 		return nil, err
 	}
-	aReal := new(big.Int).Exp(genH, w, groupP)
+	// Real branch: A = w·H.
+	var aReal ristretto.Point
+	aReal.ScalarMultH(&w)
+	// Simulated branch: X_sim = X − (1−b)·G = (2b−1)·G + r·H, so
+	// A_sim = zSim·H − eSim·X_sim = (zSim − eSim·r)·H + (1−2b)·eSim·G.
+	var k, gk ristretto.Scalar
+	k.Multiply(&eSim, &o.R)
+	k.Subtract(&zSim, &k)
+	gk.Negate(&eSim)
+	subtle.ConstantTimeCopy(1-b, gk[:], eSim[:])
+	var aSim, t ristretto.Point
+	aSim.ScalarMultH(&k)
+	aSim.Add(&aSim, t.ScalarBaseMult(&gk))
 
-	var a0, a1 *big.Int
-	if real0 {
-		a0, a1 = aReal, aSim
-	} else {
-		a0, a1 = aSim, aReal
-	}
+	encReal, encSim := aReal.Bytes(), aSim.Bytes()
+	p := &BitProof{A0: encSim, A1: encSim}
+	subtle.ConstantTimeCopy(1-b, p.A0[:], encReal[:])
+	subtle.ConstantTimeCopy(b, p.A1[:], encReal[:])
 
-	// Fiat–Shamir challenge over context, commitment, and both a's.
-	e := challenge(ctx, c.C, a0, a1)
-	// Split: eReal = e - eSim mod q.
-	eReal := new(big.Int).Sub(e, eSim)
-	eReal.Mod(eReal, groupQ)
-	// zReal = w + eReal · r mod q.
-	zReal := new(big.Int).Mul(eReal, o.R)
-	zReal.Add(zReal, w)
-	zReal.Mod(zReal, groupQ)
-
-	p := &BitProof{}
-	if real0 {
-		p.A0, p.E0, p.Z0 = a0, eReal, zReal
-		p.A1, p.E1, p.Z1 = a1, eSim, zSim
-	} else {
-		p.A0, p.E0, p.Z0 = a0, eSim, zSim
-		p.A1, p.E1, p.Z1 = a1, eReal, zReal
-	}
+	e := challenge(ctx, append(stmt, p.A0[:], p.A1[:])...)
+	var eReal, zReal ristretto.Scalar
+	eReal.Subtract(&e, &eSim)
+	zReal.MultiplyAdd(&eReal, &o.R, &w)
+	p.E0, p.Z0, p.Z1 = eSim, zSim, zSim
+	subtle.ConstantTimeCopy(1-b, p.E0[:], eReal[:])
+	subtle.ConstantTimeCopy(1-b, p.Z0[:], zReal[:])
+	subtle.ConstantTimeCopy(b, p.Z1[:], zReal[:])
 	return p, nil
 }
 
-// verifyDlogOr checks the OR-proof against a commitment.
-func verifyDlogOr(c Commitment, p *BitProof, ctx []byte) error {
-	if c.C == nil || p == nil || p.A0 == nil || p.A1 == nil || p.E0 == nil || p.E1 == nil || p.Z0 == nil || p.Z1 == nil {
-		return ErrBadProof
-	}
-	e := challenge(ctx, c.C, p.A0, p.A1)
-	sum := new(big.Int).Add(p.E0, p.E1)
-	sum.Mod(sum, groupQ)
-	if sum.Cmp(new(big.Int).Mod(e, groupQ)) != 0 {
-		return fmt.Errorf("%w: challenge split", ErrBadProof)
-	}
-	gInv := new(big.Int).ModInverse(genG, groupP)
-	x0 := new(big.Int).Set(c.C)
-	x1 := new(big.Int).Mod(new(big.Int).Mul(c.C, gInv), groupP)
-	// Check h^z = a · x^e for both branches.
-	check := func(x, a, e, z *big.Int) bool {
-		lhs := new(big.Int).Exp(genH, z, groupP)
-		rhs := new(big.Int).Exp(x, e, groupP)
-		rhs.Mul(rhs, a)
-		rhs.Mod(rhs, groupP)
-		return lhs.Cmp(rhs) == 0
-	}
-	if !check(x0, p.A0, p.E0, p.Z0) {
-		return fmt.Errorf("%w: branch 0", ErrBadProof)
-	}
-	if !check(x1, p.A1, p.E1, p.Z1) {
-		return fmt.Errorf("%w: branch 1", ErrBadProof)
-	}
-	return nil
-}
-
-func challenge(ctx []byte, vals ...*big.Int) *big.Int {
-	h := sha256.New()
-	h.Write([]byte("pvr/zkp/fiat-shamir/v1"))
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(ctx)))
-	h.Write(lb[:])
+// challenge hashes the context and the fixed-width statement encodings
+// with SHA-512 and reduces mod l. ctx names the proof kind and position,
+// which fixes how many encodings follow.
+func challenge(ctx []byte, elems ...[]byte) ristretto.Scalar {
+	h := sha512.New()
+	h.Write([]byte(challengeTag))
+	h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(ctx))))
 	h.Write(ctx)
-	for _, v := range vals {
-		b := v.Bytes()
-		binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
-		h.Write(lb[:])
-		h.Write(b)
+	for _, e := range elems {
+		h.Write(e)
 	}
-	return new(big.Int).SetBytes(h.Sum(nil))
+	var d [64]byte
+	h.Sum(d[:0])
+	var e ristretto.Scalar
+	e.SetUniformBytes(&d)
+	return e
 }
 
 // MonotoneProof proves, in zero knowledge, that a committed bit vector
@@ -229,49 +168,26 @@ type MonotoneProof struct {
 	PinZero, PinOne *SchnorrProof
 }
 
-// SchnorrProof proves knowledge of dlog_h(X) for a public X: here, that a
-// commitment (divided by g^v) is h^r — i.e. it hides the public value v.
+// SchnorrProof proves knowledge of r with C − vG = r·H for a public v:
+// that the commitment C hides v. The challenge is recomputed.
 type SchnorrProof struct {
-	A, E, Z *big.Int
+	A [ristretto.Size]byte
+	Z ristretto.Scalar
 }
 
-func proveSchnorr(x *big.Int, r *big.Int, ctx []byte) (*SchnorrProof, error) {
-	w, err := rand.Int(rand.Reader, groupQ)
+// schnorrProofSize is a SchnorrProof's size: A and Z.
+const schnorrProofSize = 2 * 32
+
+func proveSchnorr(c Commitment, r *ristretto.Scalar, ctx []byte) (*SchnorrProof, error) {
+	w, err := ristretto.RandomScalar()
 	if err != nil {
 		return nil, err
 	}
-	a := new(big.Int).Exp(genH, w, groupP)
-	e := new(big.Int).Mod(challenge(ctx, x, a), groupQ)
-	z := new(big.Int).Mul(e, r)
-	z.Add(z, w)
-	z.Mod(z, groupQ)
-	return &SchnorrProof{A: a, E: e, Z: z}, nil
-}
-
-func verifySchnorr(x *big.Int, p *SchnorrProof, ctx []byte) error {
-	if p == nil || p.A == nil || p.E == nil || p.Z == nil {
-		return ErrBadProof
-	}
-	if e := new(big.Int).Mod(challenge(ctx, x, p.A), groupQ); e.Cmp(p.E) != 0 {
-		return fmt.Errorf("%w: schnorr challenge", ErrBadProof)
-	}
-	lhs := new(big.Int).Exp(genH, p.Z, groupP)
-	rhs := new(big.Int).Exp(x, p.E, groupP)
-	rhs.Mul(rhs, p.A)
-	rhs.Mod(rhs, groupP)
-	if lhs.Cmp(rhs) != 0 {
-		return fmt.Errorf("%w: schnorr equation", ErrBadProof)
-	}
-	return nil
-}
-
-// statementZero returns X = C (hides 0 iff X = h^r).
-func statementZero(c Commitment) *big.Int { return new(big.Int).Set(c.C) }
-
-// statementOne returns X = C/g (hides 1 iff X = h^r).
-func statementOne(c Commitment) *big.Int {
-	gInv := new(big.Int).ModInverse(genG, groupP)
-	return new(big.Int).Mod(new(big.Int).Mul(c.C, gInv), groupP)
+	var a ristretto.Point
+	p := &SchnorrProof{A: a.ScalarMultH(&w).Bytes()}
+	e := challenge(ctx, c[:], p.A[:])
+	p.Z.MultiplyAdd(&e, r, &w)
+	return p, nil
 }
 
 // ProveMonotone builds the full proof for committed bits with openings.
@@ -282,53 +198,53 @@ func ProveMonotone(cs []Commitment, os []Opening, min int, ctx []byte) (*Monoton
 	if len(cs) != len(os) {
 		return nil, errors.New("zkp: commitment/opening length mismatch")
 	}
-	mp := &MonotoneProof{Min: min}
-	for i := range cs {
-		bp, err := proveDlogOr(cs[i], os[i], ctxFor(ctx, "bit", i))
-		if err != nil {
-			return nil, err
-		}
-		mp.BitProofs = append(mp.BitProofs, bp)
+	bits, diffs, err := proveBitsAndDiffs(cs, os, ctx, "bit", "diff")
+	if err != nil {
+		return nil, err
 	}
-	// Differences: d_i = b_{i+1} - b_i; commitment C_{i+1}/C_i hides d_i
-	// with blinding r_{i+1}-r_i. Monotone ⟺ every d_i ∈ {0,1}.
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		do := Opening{
-			Bit: os[i+1].Bit != os[i].Bit, // monotone honest case: 0→1 diff
-			R:   new(big.Int).Mod(new(big.Int).Sub(os[i+1].R, os[i].R), groupQ),
-		}
-		bp, err := proveDlogOr(dc, do, ctxFor(ctx, "diff", i))
-		if err != nil {
-			return nil, err
-		}
-		mp.DiffProofs = append(mp.DiffProofs, bp)
-	}
+	mp := &MonotoneProof{Min: min, BitProofs: bits, DiffProofs: diffs}
 	// Pin the minimum.
 	if min > 0 {
-		one, err := proveSchnorr(statementOne(cs[min-1]), os[min-1].R, ctxFor(ctx, "pin1", min-1))
-		if err != nil {
+		if mp.PinOne, err = proveSchnorr(cs[min-1], &os[min-1].R, ctxFor(ctx, "pin1", min-1)); err != nil {
 			return nil, err
 		}
-		mp.PinOne = one
 		if min > 1 {
-			zero, err := proveSchnorr(statementZero(cs[min-2]), os[min-2].R, ctxFor(ctx, "pin0", min-2))
-			if err != nil {
+			if mp.PinZero, err = proveSchnorr(cs[min-2], &os[min-2].R, ctxFor(ctx, "pin0", min-2)); err != nil {
 				return nil, err
 			}
-			mp.PinZero = zero
 		}
 	} else if len(cs) > 0 {
 		// All-zero vector: pin the last position to 0 (with monotonicity,
 		// that pins the whole vector).
-		zero, err := proveSchnorr(statementZero(cs[len(cs)-1]), os[len(cs)-1].R, ctxFor(ctx, "pin0", len(cs)-1))
-		if err != nil {
+		last := len(cs) - 1
+		if mp.PinZero, err = proveSchnorr(cs[last], &os[last].R, ctxFor(ctx, "pin0", last)); err != nil {
 			return nil, err
 		}
-		mp.PinZero = zero
 	}
 	return mp, nil
+}
+
+// proveBitsAndDiffs proves each position a bit, and each adjacent
+// difference C_{i+1} − C_i (hiding b_{i+1} − b_i with blinding
+// r_{i+1} − r_i) a bit: monotone ⟺ every difference ∈ {0,1}.
+func proveBitsAndDiffs(cs []Commitment, os []Opening, ctx []byte, bitKind, diffKind string) (bits, diffs []*BitProof, err error) {
+	for i := range cs {
+		bp, err := proveBit(os[i], ctxFor(ctx, bitKind, i), cs[i][:])
+		if err != nil {
+			return nil, nil, err
+		}
+		bits = append(bits, bp)
+	}
+	for i := 0; i+1 < len(cs); i++ {
+		do := Opening{Bit: os[i+1].Bit != os[i].Bit} // monotone honest case: 0→1 diff
+		do.R.Subtract(&os[i+1].R, &os[i].R)
+		bp, err := proveBit(do, ctxFor(ctx, diffKind, i), cs[i+1][:], cs[i][:])
+		if err != nil {
+			return nil, nil, err
+		}
+		diffs = append(diffs, bp)
+	}
+	return bits, diffs, nil
 }
 
 // VerifyMonotone checks the proof against the public commitments and the
@@ -337,64 +253,42 @@ func VerifyMonotone(cs []Commitment, mp *MonotoneProof, ctx []byte) error {
 	if mp == nil || len(mp.BitProofs) != len(cs) || len(mp.DiffProofs) != max(0, len(cs)-1) {
 		return fmt.Errorf("%w: shape", ErrBadProof)
 	}
-	for i := range cs {
-		if err := verifyDlogOr(cs[i], mp.BitProofs[i], ctxFor(ctx, "bit", i)); err != nil {
-			return fmt.Errorf("bit %d: %w", i+1, err)
-		}
+	v, err := newVerifier(cs)
+	if err != nil {
+		return err
 	}
-	for i := 0; i+1 < len(cs); i++ {
-		dc := Commitment{C: new(big.Int).Mod(
-			new(big.Int).Mul(cs[i+1].C, new(big.Int).ModInverse(cs[i].C, groupP)), groupP)}
-		if err := verifyDlogOr(dc, mp.DiffProofs[i], ctxFor(ctx, "diff", i)); err != nil {
-			return fmt.Errorf("diff %d: %w", i+1, err)
-		}
+	if err := v.bitsAndDiffs(mp.BitProofs, mp.DiffProofs, ctx, "bit", "diff"); err != nil {
+		return err
 	}
 	switch {
 	case mp.Min > 0:
 		if mp.Min > len(cs) {
 			return fmt.Errorf("%w: min out of range", ErrBadProof)
 		}
-		if err := verifySchnorr(statementOne(cs[mp.Min-1]), mp.PinOne, ctxFor(ctx, "pin1", mp.Min-1)); err != nil {
-			return fmt.Errorf("pin-one: %w", err)
+		if err := v.schnorr("pin-one", mp.PinOne, mp.Min-1, 1, ctxFor(ctx, "pin1", mp.Min-1)); err != nil {
+			return err
 		}
 		if mp.Min > 1 {
-			if err := verifySchnorr(statementZero(cs[mp.Min-2]), mp.PinZero, ctxFor(ctx, "pin0", mp.Min-2)); err != nil {
-				return fmt.Errorf("pin-zero: %w", err)
+			if err := v.schnorr("pin-zero", mp.PinZero, mp.Min-2, 0, ctxFor(ctx, "pin0", mp.Min-2)); err != nil {
+				return err
 			}
 		}
 	case len(cs) > 0:
-		if err := verifySchnorr(statementZero(cs[len(cs)-1]), mp.PinZero, ctxFor(ctx, "pin0", len(cs)-1)); err != nil {
-			return fmt.Errorf("pin-zero: %w", err)
+		if err := v.schnorr("pin-zero", mp.PinZero, len(cs)-1, 0, ctxFor(ctx, "pin0", len(cs)-1)); err != nil {
+			return err
 		}
 	}
-	return nil
+	return v.check()
 }
 
-// Size returns the proof's approximate wire size in bytes (for the E4
-// experiment's size-scaling series).
+// Size returns the proof's size in bytes (for the E4 experiment's
+// size-scaling series): BitProofSize per bit and diff proof, plus the
+// pins.
 func (mp *MonotoneProof) Size() int {
-	n := 0
-	count := func(x *big.Int) {
-		if x != nil {
-			n += len(x.Bytes())
-		}
-	}
-	for _, bp := range append(append([]*BitProof{}, mp.BitProofs...), mp.DiffProofs...) {
-		if bp == nil {
-			continue
-		}
-		count(bp.A0)
-		count(bp.A1)
-		count(bp.E0)
-		count(bp.E1)
-		count(bp.Z0)
-		count(bp.Z1)
-	}
+	n := (len(mp.BitProofs) + len(mp.DiffProofs)) * BitProofSize
 	for _, sp := range []*SchnorrProof{mp.PinZero, mp.PinOne} {
 		if sp != nil {
-			count(sp.A)
-			count(sp.E)
-			count(sp.Z)
+			n += schnorrProofSize
 		}
 	}
 	return n
@@ -406,4 +300,155 @@ func ctxFor(ctx []byte, kind string, i int) []byte {
 	var ib [4]byte
 	binary.BigEndian.PutUint32(ib[:], uint32(i))
 	return append(out, ib[:]...)
+}
+
+// equation is one branch equation z·H = A + e·X of a Σ-protocol, with
+// X = C[hi] − C[lo] − g·G (lo < 0: no C[lo] term; g ∈ {0,1}).
+type equation struct {
+	a      ristretto.Point
+	e, z   ristretto.Scalar
+	hi, lo int
+	g      bool
+	// item and what name the proof and equation for error reports.
+	item, what string
+}
+
+// verifier collects the branch equations of every proof over one
+// commitment vector, then checks them all in one multi-scalar
+// multiplication.
+type verifier struct {
+	raw []Commitment
+	cs  []ristretto.Point
+	eqs []equation
+}
+
+func newVerifier(cs []Commitment) (*verifier, error) {
+	v := &verifier{raw: cs, cs: make([]ristretto.Point, len(cs))}
+	for i := range cs {
+		if _, err := v.cs[i].SetCanonicalBytes(cs[i][:]); err != nil {
+			return nil, fmt.Errorf("commitment %d: %w: %v", i+1, ErrBadProof, err)
+		}
+	}
+	return v, nil
+}
+
+// bitsAndDiffs adds the equations of a vector's bit and difference
+// proofs, checked against ProveVector/ProveMonotone's contexts.
+func (v *verifier) bitsAndDiffs(bits, diffs []*BitProof, ctx []byte, bitKind, diffKind string) error {
+	for i, bp := range bits {
+		if err := v.orProof(fmt.Sprintf("bit %d", i+1), bp, i, -1, ctxFor(ctx, bitKind, i)); err != nil {
+			return err
+		}
+	}
+	for i, bp := range diffs {
+		if err := v.orProof(fmt.Sprintf("diff %d", i+1), bp, i+1, i, ctxFor(ctx, diffKind, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// orProof adds an OR-proof's two branch equations over X = C[hi] − C[lo]:
+// z0·H = A0 + E0·X and z1·H = A1 + E1·(X − G) with E1 = e − E0.
+func (v *verifier) orProof(item string, p *BitProof, hi, lo int, ctx []byte) error {
+	if p == nil {
+		return fmt.Errorf("%s: %w: missing", item, ErrBadProof)
+	}
+	if !p.E0.IsCanonical() || !p.Z0.IsCanonical() || !p.Z1.IsCanonical() {
+		return fmt.Errorf("%s: %w: non-canonical scalar", item, ErrBadProof)
+	}
+	var a0, a1 ristretto.Point
+	if _, err := a0.SetCanonicalBytes(p.A0[:]); err != nil {
+		return fmt.Errorf("%s: %w: A0: %v", item, ErrBadProof, err)
+	}
+	if _, err := a1.SetCanonicalBytes(p.A1[:]); err != nil {
+		return fmt.Errorf("%s: %w: A1: %v", item, ErrBadProof, err)
+	}
+	stmt := [][]byte{v.raw[hi][:]}
+	if lo >= 0 {
+		stmt = append(stmt, v.raw[lo][:])
+	}
+	e := challenge(ctx, append(stmt, p.A0[:], p.A1[:])...)
+	var e1 ristretto.Scalar
+	e1.Subtract(&e, &p.E0)
+	v.eqs = append(v.eqs,
+		equation{a: a0, e: p.E0, z: p.Z0, hi: hi, lo: lo, item: item, what: "branch 0"},
+		equation{a: a1, e: e1, z: p.Z1, hi: hi, lo: lo, g: true, item: item, what: "branch 1"})
+	return nil
+}
+
+// schnorr adds a pin proof's equation z·H = A + e·(C[i] − val·G).
+func (v *verifier) schnorr(item string, p *SchnorrProof, i, val int, ctx []byte) error {
+	if p == nil {
+		return fmt.Errorf("%s: %w: missing", item, ErrBadProof)
+	}
+	if !p.Z.IsCanonical() {
+		return fmt.Errorf("%s: %w: non-canonical scalar", item, ErrBadProof)
+	}
+	var a ristretto.Point
+	if _, err := a.SetCanonicalBytes(p.A[:]); err != nil {
+		return fmt.Errorf("%s: %w: A: %v", item, ErrBadProof, err)
+	}
+	e := challenge(ctx, v.raw[i][:], p.A[:])
+	v.eqs = append(v.eqs, equation{a: a, e: e, z: p.Z, hi: i, lo: -1, g: val == 1, item: item, what: "schnorr equation"})
+	return nil
+}
+
+// check verifies every collected equation at once. On failure it checks
+// them one at a time, only to name the first failing proof.
+func (v *verifier) check() error {
+	ok, err := v.holds(v.eqs)
+	if err != nil {
+		return err
+	}
+	if ok {
+		return nil
+	}
+	for i := range v.eqs {
+		eq := &v.eqs[i]
+		if ok, err := v.holds(v.eqs[i : i+1]); err != nil {
+			return err
+		} else if !ok {
+			return fmt.Errorf("%s: %w: %s", eq.item, ErrBadProof, eq.what)
+		}
+	}
+	return ErrBadProof
+}
+
+// holds reports whether Σ ρⱼ(zⱼ·H − Aⱼ − eⱼ·Xⱼ) is the identity for fresh
+// random 128-bit weights ρⱼ, which (but for probability 2⁻¹²⁸) holds
+// exactly when every equation does. Collecting coefficients per base
+// makes it one multi-scalar multiplication over H, G, the commitments,
+// and the A's; the A's carry only the 128-bit weights.
+func (v *verifier) holds(eqs []equation) (bool, error) {
+	rho := make([]byte, 16*len(eqs))
+	if _, err := rand.Read(rho); err != nil {
+		return false, fmt.Errorf("zkp: batch weights: %w", err)
+	}
+	nc := len(v.cs)
+	points := make([]ristretto.Point, 2+nc+len(eqs))
+	scalars := make([]ristretto.Scalar, len(points))
+	points[0].Set(ristretto.NewHPoint())
+	points[1].Set(ristretto.NewGeneratorPoint())
+	copy(points[2:], v.cs)
+	h, g, cs := &scalars[0], &scalars[1], scalars[2:2+nc]
+	var t ristretto.Scalar
+	for j := range eqs {
+		eq := &eqs[j]
+		w := &scalars[2+nc+j]
+		copy(w[:16], rho[16*j:])
+		points[2+nc+j].Negate(&eq.a)
+		h.MultiplyAdd(w, &eq.z, h)
+		t.Multiply(w, &eq.e) // ρe multiplies X = C[hi] − C[lo] − g·G
+		cs[eq.hi].Subtract(&cs[eq.hi], &t)
+		if eq.lo >= 0 {
+			cs[eq.lo].Add(&cs[eq.lo], &t)
+		}
+		if eq.g {
+			g.Add(g, &t)
+		}
+	}
+	var sum ristretto.Point
+	sum.VarTimeMultiScalarMult(scalars, points)
+	return sum.Equal(ristretto.NewIdentityPoint()), nil
 }

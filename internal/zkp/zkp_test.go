@@ -1,8 +1,11 @@
 package zkp
 
 import (
+	"errors"
 	"math/big"
 	"testing"
+
+	"pvr/internal/ristretto"
 )
 
 func commitVector(t *testing.T, bits []bool) ([]Commitment, []Opening) {
@@ -54,9 +57,26 @@ func TestCommitHiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.C.Cmp(c2.C) == 0 {
+	if c1 == c2 {
 		t.Error("two commitments to the same bit are equal")
 	}
+}
+
+// proveDlogOr and verifyDlogOr prove and check one OR-proof over a
+// single commitment.
+func proveDlogOr(c Commitment, o Opening, ctx []byte) (*BitProof, error) {
+	return proveBit(o, ctx, c[:])
+}
+
+func verifyDlogOr(c Commitment, p *BitProof, ctx []byte) error {
+	v, err := newVerifier([]Commitment{c})
+	if err != nil {
+		return err
+	}
+	if err := v.orProof("bit 1", p, 0, -1, ctx); err != nil {
+		return err
+	}
+	return v.check()
 }
 
 func TestBitProofBothValues(t *testing.T) {
@@ -81,15 +101,16 @@ func TestBitProofBothValues(t *testing.T) {
 }
 
 func TestBitProofSoundness(t *testing.T) {
-	// A "commitment" to 2 (= g² h^r) must not admit a bit proof.
+	// A "commitment" to 2 (= 2G + rH) must not admit a bit proof.
 	ctx := []byte("test")
-	r, err := randScalar()
+	r, err := ristretto.RandomScalar()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Commitment{C: new(big.Int).Exp(genH, r, groupP)}
-	c.C.Mul(c.C, new(big.Int).Exp(genG, big.NewInt(2), groupP))
-	c.C.Mod(c.C, groupP)
+	var p2, g2 ristretto.Point
+	p2.ScalarMultH(&r)
+	p2.Add(&p2, g2.ScalarBaseMult(&ristretto.Scalar{2}))
+	c := Commitment(p2.Bytes())
 	// The prover lies: claims bit 1 with blinding r.
 	p, err := proveDlogOr(c, Opening{Bit: true, R: r}, ctx)
 	if err != nil {
@@ -100,12 +121,70 @@ func TestBitProofSoundness(t *testing.T) {
 	}
 }
 
-func randScalar() (*big.Int, error) {
-	_, o, err := Commit(false)
-	if err != nil {
-		return nil, err
+func TestBitProofRejectsSwappedBranches(t *testing.T) {
+	ctx := []byte("swap")
+	for _, b := range []bool{false, true} {
+		c, o, err := Commit(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := proveDlogOr(c, o, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *p
+		bad.A0, bad.A1 = p.A1, p.A0
+		if err := verifyDlogOr(c, &bad, ctx); err == nil {
+			t.Errorf("bit %v: proof with A0 and A1 swapped accepted", b)
+		}
 	}
-	return o.R, nil
+}
+
+// plusOrder returns s + l: the same residue, encoded non-canonically.
+func plusOrder(s ristretto.Scalar) ristretto.Scalar {
+	be := make([]byte, 32)
+	for i := range s {
+		be[31-i] = s[i]
+	}
+	n := new(big.Int).Add(new(big.Int).SetBytes(be), ristretto.Order())
+	n.FillBytes(be)
+	var out ristretto.Scalar
+	for i := range out {
+		out[i] = be[31-i]
+	}
+	return out
+}
+
+func TestBitProofRejectsNonCanonicalScalars(t *testing.T) {
+	ctx := []byte("canon")
+	c, o, err := Commit(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proveDlogOr(c, o, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*BitProof){
+		"E0 + l": func(b *BitProof) { b.E0 = plusOrder(b.E0) },
+		"Z0 + l": func(b *BitProof) { b.Z0 = plusOrder(b.Z0) },
+		"Z1 + l": func(b *BitProof) { b.Z1 = plusOrder(b.Z1) },
+	} {
+		bad := *p
+		mutate(&bad)
+		// The residues are unchanged, so only the range check stands
+		// between this and a second valid encoding of the same proof.
+		if err := verifyDlogOr(c, &bad, ctx); !errors.Is(err, ErrBadProof) {
+			t.Errorf("%s: proof accepted (err %v)", name, err)
+		}
+		enc, err := (&VectorProof{BitProofs: []*BitProof{&bad}}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(VectorProof).UnmarshalBinary(enc); err == nil {
+			t.Errorf("%s: non-canonical encoding decoded", name)
+		}
+	}
 }
 
 func TestMonotoneProofHonest(t *testing.T) {
@@ -214,45 +293,32 @@ func TestMonotoneProofSizeLinear(t *testing.T) {
 	}
 }
 
-func BenchmarkProveMonotone16(b *testing.B) {
-	bits := monotone(16, 4)
-	cs := make([]Commitment, len(bits))
-	os := make([]Opening, len(bits))
-	for i, bit := range bits {
-		c, o, err := Commit(bit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs[i], os[i] = c, o
+func benchVector32(b *testing.B) ([]Commitment, []Opening, []byte) {
+	b.Helper()
+	cs, os, err := CommitBits(monotone(32, 17))
+	if err != nil {
+		b.Fatal(err)
 	}
-	ctx := []byte("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ProveMonotone(cs, os, 4, ctx); err != nil {
+	return cs, os, []byte("bench")
+}
+
+func BenchmarkProveVector32(b *testing.B) {
+	cs, os, ctx := benchVector32(b)
+	for b.Loop() {
+		if _, err := ProveVector(cs, os, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkVerifyMonotone16(b *testing.B) {
-	bits := monotone(16, 4)
-	cs := make([]Commitment, len(bits))
-	os := make([]Opening, len(bits))
-	for i, bit := range bits {
-		c, o, err := Commit(bit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs[i], os[i] = c, o
-	}
-	ctx := []byte("bench")
-	mp, err := ProveMonotone(cs, os, 4, ctx)
+func BenchmarkVerifyVector32(b *testing.B) {
+	cs, os, ctx := benchVector32(b)
+	vp, err := ProveVector(cs, os, ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := VerifyMonotone(cs, mp, ctx); err != nil {
+	for b.Loop() {
+		if err := VerifyVector(cs, vp, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
